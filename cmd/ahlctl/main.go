@@ -26,13 +26,9 @@
 //
 // scrape aggregates a running cluster's observability endpoints (each
 // node's metrics_addr) into one latency-breakdown table.
-//
-// A bare flag invocation (ahlctl -topo ...) still runs load for one
-// release; migrate scripts to the subcommand form.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -40,7 +36,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/chain"
@@ -65,25 +60,11 @@ Run 'ahlctl <command> -h' for per-command flags.
 }
 
 func main() {
-	args := os.Args[1:]
-	cmd := "load"
-	if len(args) > 0 {
-		switch args[0] {
-		case "load", "query", "status", "scrape":
-			cmd, args = args[0], args[1:]
-		case "-h", "-help", "--help", "help":
-			usage()
-			return
-		default:
-			if !strings.HasPrefix(args[0], "-") {
-				fmt.Fprintf(os.Stderr, "ahlctl: unknown command %q\n\n", args[0])
-				usage()
-				os.Exit(2)
-			}
-			// Legacy flat invocation predating subcommands: run load.
-			log.Printf("ahlctl: note: bare flags are deprecated; use 'ahlctl load %s'", strings.Join(args, " "))
-		}
+	if len(os.Args) < 2 {
+		usage()
+		os.Exit(2)
 	}
+	cmd, args := os.Args[1], os.Args[2:]
 	switch cmd {
 	case "load":
 		runLoad(args)
@@ -93,6 +74,12 @@ func main() {
 		runStatus(args)
 	case "scrape":
 		runScrape(args)
+	case "-h", "-help", "--help", "help":
+		usage()
+	default:
+		fmt.Fprintf(os.Stderr, "ahlctl: unknown command %q\n\n", cmd)
+		usage()
+		os.Exit(2)
 	}
 }
 
@@ -226,27 +213,6 @@ func runStatus(args []string) {
 	fmt.Printf("  accounts      %d\n", res.Count)
 }
 
-// liveReport is one BENCH_live_*.json row: the measured (post-warmup)
-// throughput and latency distribution of a run, comparable across PRs by
-// the -compare gate.
-type liveReport struct {
-	Label       string  `json:"label"`
-	Timestamp   string  `json:"timestamp"`
-	Txs         int     `json:"txs"`
-	Warmup      int     `json:"warmup_excluded"`
-	Committed   int     `json:"committed"`
-	Aborted     int     `json:"aborted"`
-	Cross       float64 `json:"cross_fraction"`
-	Outstanding int     `json:"outstanding"`
-	ElapsedS    float64 `json:"elapsed_s"`
-	TPS         float64 `json:"tps"`
-	P50Ms       float64 `json:"p50_ms"`
-	P95Ms       float64 `json:"p95_ms"`
-	P99Ms       float64 `json:"p99_ms"`
-	P999Ms      float64 `json:"p999_ms"`
-	MaxMs       float64 `json:"max_ms"`
-}
-
 func runLoad(args []string) {
 	fs := flag.NewFlagSet("load", flag.ExitOnError)
 	var (
@@ -260,10 +226,6 @@ func runLoad(args []string) {
 		seed        = fs.Int64("seed", 1, "workload RNG seed")
 		timeout     = fs.Duration("timeout", 5*time.Minute, "overall run deadline")
 		warmup      = fs.Int("warmup", -1, "completed transactions excluded from the measurement window (-1 = txs/10)")
-		label       = fs.String("label", "live", "label recorded in the -json report")
-		jsonOut     = fs.String("json", "", "write the measured report as a BENCH_live JSON row to this file")
-		compare     = fs.String("compare", "", "baseline BENCH_live JSON to compare throughput against")
-		gate        = fs.Float64("gate", 0, "with -compare: exit 3 if measured tps regresses more than this percent")
 	)
 	fs.Parse(args)
 	if *topoPath == "" {
@@ -424,64 +386,4 @@ func runLoad(args []string) {
 		// are a workload property, not an error.
 		fmt.Printf("  note          aborts are lock conflicts (2PL); rerun with more -accounts to reduce contention\n")
 	}
-
-	rep := liveReport{
-		Label:       *label,
-		Timestamp:   time.Now().UTC().Format(time.RFC3339),
-		Txs:         *txs,
-		Warmup:      wu,
-		Committed:   committed,
-		Aborted:     aborted,
-		Cross:       *cross,
-		Outstanding: *outstanding,
-		ElapsedS:    elapsed.Seconds(),
-		TPS:         tps,
-		P50Ms:       ms(pct(0.50)),
-		P95Ms:       ms(pct(0.95)),
-		P99Ms:       ms(pct(0.99)),
-		P999Ms:      ms(pct(0.999)),
-		MaxMs:       ms(pct(1.0)),
-	}
-	if *jsonOut != "" {
-		raw, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("ahlctl: wrote %s", *jsonOut)
-	}
-	if *compare != "" {
-		os.Exit(compareBaseline(*compare, rep, *gate))
-	}
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-// compareBaseline prints measured-vs-baseline throughput and returns the
-// process exit code: 3 when gate > 0 and throughput regressed by more
-// than gate percent (the same contract as shardsim -compare -gate).
-func compareBaseline(path string, rep liveReport, gate float64) int {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		log.Printf("ahlctl: compare: %v", err)
-		return 1
-	}
-	var base liveReport
-	if err := json.Unmarshal(raw, &base); err != nil {
-		log.Printf("ahlctl: compare: parse %s: %v", path, err)
-		return 1
-	}
-	if base.TPS <= 0 {
-		log.Printf("ahlctl: compare: baseline %s has no tps", path)
-		return 1
-	}
-	delta := (rep.TPS - base.TPS) / base.TPS * 100
-	fmt.Printf("  baseline      %.1f tx/s (%s); delta %+.1f%%\n", base.TPS, base.Label, delta)
-	if gate > 0 && delta < -gate {
-		fmt.Printf("  GATE FAILED   throughput regressed %.1f%% (> %.0f%% allowed)\n", -delta, gate)
-		return 3
-	}
-	return 0
 }

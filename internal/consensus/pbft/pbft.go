@@ -125,15 +125,11 @@ type Options struct {
 	// execution) as the only pipelining bound — the legacy behavior.
 	PipelineDepth uint64
 	// AdaptiveBatch replaces the fixed BatchTimeout batch cut with a
-	// load-scaled one: cut immediately when the pipeline is empty, and
-	// otherwise wait BatchTimeout scaled by pipeline occupancy (floored
-	// at BatchMinDelay) so batches grow under load instead of the timer
-	// dominating latency. Off (the default) preserves the simulator's
-	// byte-identical legacy schedule.
+	// load-scaled one: when the pipeline is idle, cut after the short
+	// DefaultBatchMinDelay coalescing window; with proposals in flight,
+	// keep the BatchTimeout cadence so batches grow under load. Off (the
+	// default) preserves the simulator's byte-identical legacy schedule.
 	AdaptiveBatch bool
-	// BatchMinDelay floors the adaptive batch cut delay. 0 means
-	// DefaultBatchMinDelay.
-	BatchMinDelay time.Duration
 	// ExecWorkers sets the number of goroutines executing non-conflicting
 	// transaction groups of a decided block concurrently. 0 uses the
 	// package default (serial unless SetDefaultExecWorkers was called);
@@ -141,7 +137,8 @@ type Options struct {
 	ExecWorkers int
 }
 
-// DefaultBatchMinDelay is the floor on the adaptive batch cut delay.
+// DefaultBatchMinDelay is the adaptive batch cut delay when the pipeline
+// is idle.
 const DefaultBatchMinDelay = 500 * time.Microsecond
 
 // DefaultOptions fills the tunables with the values used by the paper's

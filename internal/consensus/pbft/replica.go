@@ -562,10 +562,10 @@ func (r *Replica) scheduleBatch() {
 // sustained load big batches amortize the per-sequence protocol cost,
 // and cutting eagerly measurably fragments the pipeline. Only when the
 // pipeline is idle (every assigned sequence executed) does waiting help
-// nobody, so the cut happens after just a short BatchMinDelay coalescing
-// window that lets a burst of near-simultaneous arrivals share a block.
-// The fast timer is not pushed forward by later arrivals: a steady
-// trickle must not postpone the cut indefinitely.
+// nobody, so the cut happens after just a short DefaultBatchMinDelay
+// coalescing window that lets a burst of near-simultaneous arrivals share
+// a block. The fast timer is not pushed forward by later arrivals: a
+// steady trickle must not postpone the cut indefinitely.
 func (r *Replica) scheduleAdaptiveBatch() {
 	if r.unbatchedCount() == 0 {
 		return
@@ -580,11 +580,7 @@ func (r *Replica) scheduleAdaptiveBatch() {
 	if r.batchTimer.Active() && r.batchTimerFast {
 		return
 	}
-	floor := r.opts.BatchMinDelay
-	if floor <= 0 {
-		floor = DefaultBatchMinDelay
-	}
-	r.batchTimer.Reset(floor, r.tryBatchTimer)
+	r.batchTimer.Reset(DefaultBatchMinDelay, r.tryBatchTimer)
 	r.batchTimerFast = true
 }
 
@@ -1421,12 +1417,6 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		}
 		r.scheduleBatch()
 	}
-}
-
-// DebugSyncState exposes internals for diagnosing state-sync issues in
-// tests; not part of the stable API.
-func (r *Replica) DebugSyncState() (h, executedThrough, stableSnapSeq uint64, certLen, pendingLen int) {
-	return r.h, r.executedThrough, r.stableSnapSeq, len(r.stableCert), len(r.pending)
 }
 
 // DebugEntry renders the consensus entry at seq for fault diagnosis in

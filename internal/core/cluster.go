@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -63,32 +64,12 @@ type ClusterConfig struct {
 	// replies and outcome notifications, so they need addresses too.
 	Clients []NodeAddr `json:"clients,omitempty"`
 
-	// BatchSize overrides the consensus batch size (0 = protocol default).
-	BatchSize int `json:"batch_size,omitempty"`
 	// BatchTimeoutMs overrides the leader batch timeout in milliseconds.
 	BatchTimeoutMs int `json:"batch_timeout_ms,omitempty"`
-	// ViewChangeTimeoutMs overrides the progress timeout in milliseconds.
-	ViewChangeTimeoutMs int `json:"view_change_timeout_ms,omitempty"`
 	// Table2Costs charges the paper's measured SGX operation latencies
 	// (Table 2) to each node's virtual CPU, as the simulator does. Live
 	// deployments default to free costs: the real process pays real CPU.
 	Table2Costs bool `json:"table2_costs,omitempty"`
-
-	// PipelineDepth caps how many proposals the leader pipelines ahead of
-	// local execution: 0 selects the default (8), negative disables the
-	// cap (consensus-window-only pipelining, the pre-pipelining behavior).
-	PipelineDepth int `json:"pipeline_depth,omitempty"`
-	// LegacyBatching restores the fixed batch-timeout cut. The default is
-	// adaptive batching: cut immediately when the pipeline is idle, scale
-	// the wait with pipeline occupancy under load.
-	LegacyBatching bool `json:"legacy_batching,omitempty"`
-	// BatchMinDelayUs floors the adaptive batch-cut delay, in
-	// microseconds (0 = protocol default, 500µs).
-	BatchMinDelayUs int `json:"batch_min_delay_us,omitempty"`
-	// ExecWorkers sets per-replica parallel-execution workers: 0 sizes to
-	// the machine (NumCPU, capped at 8), 1 or negative forces serial
-	// execution.
-	ExecWorkers int `json:"exec_workers,omitempty"`
 
 	// DataDir roots each replica's durable state (WAL + snapshots) at
 	// <DataDir>/node-<id>/; empty runs memory-only, with recovery relying
@@ -112,9 +93,16 @@ func LoadClusterConfig(path string) (*ClusterConfig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
+	// Unknown fields are errors: a topology still carrying a removed knob
+	// must fail loudly rather than silently run a different regime.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
 	var c ClusterConfig
-	if err := json.Unmarshal(raw, &c); err != nil {
+	if err := dec.Decode(&c); err != nil {
 		return nil, fmt.Errorf("cluster: parse %s: %w", path, err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("cluster: parse %s: trailing data after the topology object", path)
 	}
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -170,48 +158,14 @@ func (c *ClusterConfig) Validate() error {
 	if _, err := c.fsyncMode(); err != nil {
 		return err
 	}
-	if c.BatchMinDelayUs < 0 {
-		return fmt.Errorf("cluster: batch_min_delay_us %d is negative", c.BatchMinDelayUs)
-	}
-	if c.ExecWorkers > 1024 {
-		return fmt.Errorf("cluster: exec_workers %d unreasonably large (max 1024)", c.ExecWorkers)
-	}
 	return nil
 }
 
-// liveDefaultPipelineDepth is the in-flight proposal cap live clusters
-// get when the topology does not set pipeline_depth. Deep enough to keep
-// consensus busy across the commit round trip, shallow enough that a
-// restarting replica replays at most this many blocks past its snapshot.
-const liveDefaultPipelineDepth = 8
-
-// pipelineDepth resolves the PipelineDepth knob (see its field comment).
-func (c *ClusterConfig) pipelineDepth() uint64 {
-	switch {
-	case c.PipelineDepth > 0:
-		return uint64(c.PipelineDepth)
-	case c.PipelineDepth < 0:
-		return 0
-	default:
-		return liveDefaultPipelineDepth
-	}
-}
-
-// execWorkers resolves the ExecWorkers knob (see its field comment).
-func (c *ClusterConfig) execWorkers() int {
-	switch {
-	case c.ExecWorkers > 0:
-		return c.ExecWorkers
-	case c.ExecWorkers < 0:
-		return 1
-	default:
-		n := runtime.NumCPU()
-		if n > 8 {
-			n = 8
-		}
-		return n
-	}
-}
+// livePipelineDepth is the in-flight proposal cap of every live replica.
+// Deep enough to keep consensus busy across the commit round trip,
+// shallow enough that a restarting replica replays at most this many
+// blocks past its snapshot.
+const livePipelineDepth = 8
 
 // fsyncMode parses the Fsync field.
 func (c *ClusterConfig) fsyncMode() (storage.FsyncMode, error) {
@@ -401,21 +355,17 @@ func (c *ClusterConfig) liveConfig() Config {
 	} else {
 		cfg.Costs = liveCosts()
 	}
-	cfg.PipelineDepth = c.pipelineDepth()
-	cfg.AdaptiveBatch = !c.LegacyBatching
-	if c.BatchMinDelayUs > 0 {
-		cfg.BatchMinDelay = time.Duration(c.BatchMinDelayUs) * time.Microsecond
-	}
-	cfg.ExecWorkers = c.execWorkers()
+	// The live regime is fixed, not configurable: pipelined, adaptively
+	// batched and parallel. The simulator keeps the pbft.Options zero
+	// values, so the published figures stay byte-identical; each regime
+	// measurably wins on its own runtime's workloads (see pbft's package
+	// documentation).
 	cfg.Tune = func(o *pbft.Options) {
-		if c.BatchSize > 0 {
-			o.BatchSize = c.BatchSize
-		}
+		o.PipelineDepth = livePipelineDepth
+		o.AdaptiveBatch = true
+		o.ExecWorkers = min(runtime.NumCPU(), 8)
 		if c.BatchTimeoutMs > 0 {
 			o.Timing.BatchTimeout = time.Duration(c.BatchTimeoutMs) * time.Millisecond
-		}
-		if c.ViewChangeTimeoutMs > 0 {
-			o.Timing.ViewChangeTimeout = time.Duration(c.ViewChangeTimeoutMs) * time.Millisecond
 		}
 		if !c.Table2Costs {
 			// The process pays real CPU for hashing and tag checks; do not

@@ -59,19 +59,6 @@ type Config struct {
 	SendReplies bool
 	// Costs is the TEE cost model; zero value selects Table 2 defaults.
 	Costs tee.CostModel
-	// PipelineDepth caps leader proposals running ahead of execution
-	// (pbft.Options.PipelineDepth); 0 leaves the legacy Window-only bound,
-	// so sim experiments can model the live pipeline explicitly.
-	PipelineDepth uint64
-	// AdaptiveBatch enables the load-scaled batch cut
-	// (pbft.Options.AdaptiveBatch); off preserves the fixed-timeout
-	// schedule.
-	AdaptiveBatch bool
-	// BatchMinDelay floors the adaptive cut delay (0 = pbft default).
-	BatchMinDelay time.Duration
-	// ExecWorkers sets conflict-aware parallel execution workers per
-	// replica (0 = package default, <=1 serial).
-	ExecWorkers int
 	// Tune adjusts replica options after defaults are applied.
 	Tune func(*pbft.Options)
 	// ExtraShardCodes, when set, returns additional chaincodes installed
@@ -273,10 +260,6 @@ func optionsTune(cfg Config) func(*pbft.Options) {
 	return func(o *pbft.Options) {
 		o.Timing = timing
 		o.SendReplies = cfg.SendReplies
-		o.PipelineDepth = cfg.PipelineDepth
-		o.AdaptiveBatch = cfg.AdaptiveBatch
-		o.BatchMinDelay = cfg.BatchMinDelay
-		o.ExecWorkers = cfg.ExecWorkers
 		if cfg.Tune != nil {
 			cfg.Tune(o)
 		}

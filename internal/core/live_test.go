@@ -3,7 +3,10 @@ package core_test
 import (
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -513,5 +516,30 @@ func TestClusterConfigValidate(t *testing.T) {
 	badVariant.Variant = "pow"
 	if err := badVariant.Validate(); err == nil {
 		t.Fatal("unknown variant accepted")
+	}
+}
+
+// TestLoadClusterConfigStrict pins strict topology decoding: a file still
+// carrying a removed knob must fail naming the field instead of silently
+// running a different consensus regime, and trailing data is rejected.
+func TestLoadClusterConfigStrict(t *testing.T) {
+	const shards = `"shards": [[{"id": 0, "addr": "h:1"}]]`
+	load := func(body string) error {
+		path := filepath.Join(t.TempDir(), "topology.json")
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := core.LoadClusterConfig(path)
+		return err
+	}
+	if err := load(`{"seed": 1, "batch_timeout_ms": 20, ` + shards + `}`); err != nil {
+		t.Fatalf("valid topology rejected: %v", err)
+	}
+	err := load(`{"seed": 1, "pipeline_depth": 4, ` + shards + `}`)
+	if err == nil || !strings.Contains(err.Error(), `"pipeline_depth"`) {
+		t.Fatalf("topology with removed knob: err %v, want unknown field \"pipeline_depth\"", err)
+	}
+	if err := load(`{` + shards + `} {}`); err == nil {
+		t.Fatal("trailing data after the topology accepted")
 	}
 }

@@ -27,7 +27,7 @@ func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
 		Clients:     2,
 		SendReplies: true,
 		Costs:       tee.FreeCosts(),
-		ExecWorkers: workers,
+		Tune:        func(o *pbft.Options) { o.ExecWorkers = workers },
 		Obs:         true,
 	})
 	s.Seed(20, 100)

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/blockcrypto"
 	"repro/internal/chain"
 	"repro/internal/consensus/pbft"
 	"repro/internal/sim"
@@ -13,6 +13,11 @@ import (
 	"repro/internal/txn"
 )
 
+// TestProbeBatch11 is a resharding regression on 11-replica shards with a
+// tight checkpoint window: a swap-batch reshard at t=60s takes replicas
+// down and back while a 100 tx/s pump keeps writing. Every up replica of a
+// shard must agree on the state digest shortly after the reshard and at
+// the end, and throughput must recover to the offered load.
 func TestProbeBatch11(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping shard-size-11 batch probe simulation in -short mode")
@@ -41,19 +46,37 @@ func TestProbeBatch11(t *testing.T) {
 	s.Engine.Schedule(0, pump)
 	sampler := s.SampleThroughput(10*time.Second, 200*time.Second)
 	s.ReshardAt(60*time.Second, 777, DefaultReshardConfig(ReshardSwapBatch))
-	for _, tt := range []time.Duration{75, 85} {
-		tt := tt
-		s.Engine.At(sim.Time(tt*time.Second), func() {
-			fmt.Printf("== t=%v\n", s.Engine.Now())
-			for si, bc := range s.ShardCommittees {
-				for ri, r := range bc.Replicas {
-					h, et, ss, cl, pl := r.DebugSyncState()
-					fmt.Printf("  s%d r%d exec=%d h=%d et=%d snap=%d cert=%d pend=%d view=%d down=%v dig=%v\n",
-						si, ri, r.Executed(), h, et, ss, cl, pl, r.View(), s.Net.Endpoint(s.Topology.ShardNodes[si][ri]).Down(), r.Store().Digest())
+
+	// checkDigests asserts every up replica of each shard holds the same
+	// state digest.
+	checkDigests := func(when string) {
+		for si, bc := range s.ShardCommittees {
+			up := 0
+			var want blockcrypto.Digest
+			for ri, r := range bc.Replicas {
+				if s.Net.Endpoint(s.Topology.ShardNodes[si][ri]).Down() {
+					continue
+				}
+				got := r.Store().Digest()
+				if up++; up == 1 {
+					want = got
+				} else if got != want {
+					t.Errorf("%s: shard %d replica %d digest %v, want %v", when, si, ri, got, want)
 				}
 			}
-		})
+			if up == 0 {
+				t.Errorf("%s: shard %d has no up replica", when, si)
+			}
+		}
 	}
+	s.Engine.At(sim.Time(85*time.Second), func() { checkDigests("t=85s") })
 	s.Run(200 * time.Second)
-	fmt.Printf("samples=%v total=%d\n", sampler.Samples, s.TotalExecuted())
+	checkDigests("end")
+
+	// Sample i covers ((i)·10s, (i+1)·10s]; the pump offers 100 tx/s.
+	for i := 10; i < 17; i++ {
+		if tps := sampler.Samples[i]; tps < 95 {
+			t.Errorf("throughput %.1f tx/s in (%ds, %ds], want >= 95", tps, i*10, (i+1)*10)
+		}
+	}
 }

@@ -1,22 +1,18 @@
 #!/usr/bin/env bash
-# Live-throughput perf smoke: start the 12-replica loopback topology with
-# the WAL on (fsync: interval — the deployment-recommended group-commit
-# mode PERFORMANCE.md tracks), drive a closed-loop SmallBank mix through
-# ahlctl, and write the measured tx/s + latency percentiles as a
-# BENCH_live JSON row. When a baseline row exists, the run is gated:
-# >LIVE_PERF_GATE percent throughput regression fails the script (exit 3,
-# the same contract as shardsim -compare -gate).
+# Live perf smoke: start the 12-replica loopback topology with the WAL on
+# (fsync: interval — the deployment-recommended group-commit mode
+# PERFORMANCE.md tracks), drive a closed-loop SmallBank mix through
+# ahlctl, and assert the run completes and conserves money. This is a
+# liveness and consistency check, not a throughput gate: the repo's one
+# performance benchmark is perfbench (see BENCHMARK.json), which compares
+# only like-for-like hosts.
 #
 # Environment knobs (all optional):
-#   LIVE_PERF_TXS          transactions to measure       (default 3000)
+#   LIVE_PERF_TXS          transactions to drive         (default 3000)
 #   LIVE_PERF_OUTSTANDING  closed-loop window            (default 128)
-#   LIVE_PERF_JSON         output row path               (default BENCH_live_smoke.json)
-#   LIVE_PERF_BASELINE     baseline row to gate against  (default BENCH_live_pr7.json)
-#   LIVE_PERF_GATE         allowed regression, percent   (default 15; 0 disables)
-#   LIVE_PERF_LABEL        label recorded in the row     (default live-smoke)
 #   LIVE_PERF_OBS_DIR      observability artifact dir    (default BENCH_live_obs)
 #
-# After the measured run, while the cluster is still up, the script
+# After the load run, while the cluster is still up, the script
 # scrapes every replica's /metrics (plus node 0's /snapshot, /trace, and
 # a 1s pprof CPU profile) into LIVE_PERF_OBS_DIR as a CI artifact, and
 # fails if no replica reports a nonzero pbft_pipeline_occupancy_peak —
@@ -28,10 +24,6 @@ set -euo pipefail
 
 TXS="${LIVE_PERF_TXS:-3000}"
 OUTSTANDING="${LIVE_PERF_OUTSTANDING:-128}"
-OUT="${LIVE_PERF_JSON:-BENCH_live_smoke.json}"
-BASELINE="${LIVE_PERF_BASELINE:-BENCH_live_pr7.json}"
-GATE="${LIVE_PERF_GATE:-15}"
-LABEL="${LIVE_PERF_LABEL:-live-smoke}"
 OBS_DIR="${LIVE_PERF_OBS_DIR:-BENCH_live_obs}"
 
 BIN="$(mktemp -d)"
@@ -103,17 +95,11 @@ done
 sleep 1
 
 echo "== driving $TXS transactions (30% cross-shard, window $OUTSTANDING)"
-GATE_ARGS=()
-if [ "$GATE" != "0" ] && [ -f "$BASELINE" ]; then
-  GATE_ARGS=(-compare "$BASELINE" -gate "$GATE")
-  echo "== gating against $BASELINE (allowed regression ${GATE}%)"
-fi
 code=0
 "$BIN/ahlctl" load -topo "$TOPO" -accounts 32 -txs "$TXS" -outstanding "$OUTSTANDING" \
-  -cross 0.3 -timeout 300s -label "$LABEL" -json "$OUT" "${GATE_ARGS[@]}" \
-  2>"$BIN/ctl.log" || code=$?
+  -cross 0.3 -timeout 300s 2>"$BIN/ctl.log" || code=$?
 if [ "$code" -ne 0 ]; then
-  echo "FAIL: live perf run failed (exit $code; 3 = regression gate)" >&2
+  echo "FAIL: live perf run failed (exit $code)" >&2
   cat "$BIN/ctl.log" >&2
   exit "$code"
 fi
@@ -165,4 +151,4 @@ if [ "$occupancy_seen" -ne 1 ]; then
   exit 1
 fi
 
-echo "live perf smoke OK ($OUT; observability artifacts in $OBS_DIR)"
+echo "live perf smoke OK (observability artifacts in $OBS_DIR)"
