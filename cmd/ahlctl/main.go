@@ -8,11 +8,14 @@
 //	ahlctl scrape -topo topology.json
 //
 // load seeds SmallBank accounts, submits a closed-loop mix of
-// single-shard and cross-shard transactions, and reports committed
-// throughput and latency percentiles. Cross-shard transactions are §6.3
+// single-shard and cross-shard payments, and reports committed
+// throughput and latency percentiles. Cross-shard payments are §6.3
 // sendPayment transfers driven through the reference committee's 2PC
-// (Figure 5); single-shard transactions are smallbank queries
-// acknowledged by f+1 replica replies.
+// (Figure 5); single-shard payments are smallbank-auto sendPayment
+// transfers between two accounts of one shard, ordered by that shard's
+// committee alone and acknowledged by f+1 replica replies. Every payment
+// moves money between seeded accounts, so the conservation total that
+// query checks stays fixed under load.
 //
 // query runs the height-consistent balance-conservation sweep through
 // the scatter-gather query layer: committed checking + savings totals at
@@ -239,7 +242,7 @@ func runLoad(args []string) {
 	deadline := time.After(*timeout)
 
 	// Group accounts by owning shard so the driver can build guaranteed
-	// cross-shard pairs.
+	// cross-shard and same-shard pairs.
 	perShard := make([][]string, shards)
 	all := make([]string, *accounts)
 	for i := range all {
@@ -249,8 +252,8 @@ func runLoad(args []string) {
 		perShard[s] = append(perShard[s], acc)
 	}
 	for s, accs := range perShard {
-		if len(accs) == 0 {
-			log.Fatalf("ahlctl: no accounts hash to shard %d; raise -accounts", s)
+		if len(accs) < 2 {
+			log.Fatalf("ahlctl: %d account(s) hash to shard %d, single-shard payments need 2; raise -accounts", len(accs), s)
 		}
 	}
 
@@ -298,14 +301,19 @@ func runLoad(args []string) {
 			}
 			return
 		}
-		acc := all[rng.Intn(len(all))]
+		// Transfer between two accounts of one shard: the direct,
+		// lock-respecting single-shard write path, no 2PC.
+		s := rng.Intn(shards)
+		accs := perShard[s]
+		i := rng.Intn(len(accs))
+		j := (i + 1 + rng.Intn(len(accs)-1)) % len(accs)
 		tx := chain.Tx{
 			ID:        client.NextTxID(),
-			Chaincode: "smallbank-sharded",
-			Fn:        "query",
-			Args:      []string{acc},
+			Chaincode: core.AutoSmallBank,
+			Fn:        "sendPayment",
+			Args:      []string{accs[i], accs[j], strconv.Itoa(1 + rng.Intn(50))},
 		}
-		if err := client.SubmitSingle(client.ShardOf(acc), tx, func(r txn.Result) { results <- r }); err != nil {
+		if err := client.SubmitSingle(s, tx, func(r txn.Result) { results <- r }); err != nil {
 			log.Fatal(err)
 		}
 	}

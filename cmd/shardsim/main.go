@@ -1,5 +1,5 @@
 // Command shardsim regenerates the paper's tables and figures on the
-// discrete-event simulator and renders/compares the resulting reports.
+// discrete-event simulator and renders the resulting reports.
 //
 // Usage:
 //
@@ -7,15 +7,16 @@
 //	shardsim -exp fig8[,fig9,...] [-scale smoke|quick|standard|full] [-workers N] [-json out.json]
 //	shardsim -exp all  [-scale ...]
 //	shardsim -report out.json[,more.json...] [-o EXPERIMENTS.md]
-//	shardsim -compare old.json new.json [-gate 15] [-o diff.md]
 //
 // Independent sweep points of an experiment run concurrently on a bounded
 // worker pool (default GOMAXPROCS; see -workers); results are bit-identical
 // at any width. -json writes a machine-readable BENCH_*.json report of the
 // session, including every table's content, so -report can render the
-// figure-keyed EXPERIMENTS.md and -compare can diff two sessions offline.
-// With -gate G, -compare exits with status 3 when any gated throughput
-// metric regressed by more than G percent — the CI perf-trajectory gate.
+// figure-keyed EXPERIMENTS.md offline. Given several reports, -report
+// also renders their key metrics side by side as a trajectory table.
+// The simulator is deterministic, so the regression check is exact: the
+// smoke tier must reproduce every table in BENCH_smoke.json byte for
+// byte (go test ./internal/bench/, and CI's EXPERIMENTS.md diff).
 package main
 
 import (
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/consensus/pbft"
 	"repro/internal/report"
 )
 
@@ -38,7 +38,7 @@ func main() {
 
 // run is main with its dependencies injected, so the CLI's exit codes and
 // output are unit-testable. Exit codes: 0 ok, 1 I/O failure, 2 usage
-// error, 3 regression gate tripped.
+// error.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shardsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -49,50 +49,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers  = fs.Int("workers", 0, "experiment worker pool width (0 = GOMAXPROCS)")
 		jsonPath = fs.String("json", "", "write a machine-readable benchmark report to this path")
 		repPath  = fs.String("report", "", "render comma-separated BENCH_*.json files as markdown (EXPERIMENTS.md) instead of running experiments")
-		cmpPath  = fs.String("compare", "", "compare this baseline BENCH_*.json against the report given as the next argument")
-		outPath  = fs.String("o", "", "output path for -report/-compare markdown (default stdout)")
-		gate     = fs.Float64("gate", 0, "with -compare: exit 3 if any gated throughput metric regressed more than this percent")
+		outPath  = fs.String("o", "", "output path for -report markdown (default stdout)")
 		label    = fs.String("label", "", "label recorded in the -json report (default \"shardsim -exp <ids>\")")
-		execWk   = fs.Int("execworkers", 0, "parallel execution workers per replica (0 = serial, matching the published baselines)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// The flag package stops at the first positional argument; keep
-	// consuming so `-compare old.json new.json -gate 15` parses the
-	// trailing flags too. A bare "-" is a positional to flag.Parse, so it
-	// must be consumed here as one — classifying it as a flag would
-	// re-parse the same slice forever.
-	var positionals []string
-	for rest := fs.Args(); len(rest) > 0; rest = fs.Args() {
-		if len(rest[0]) > 1 && strings.HasPrefix(rest[0], "-") {
-			if err := fs.Parse(rest); err != nil {
-				return 2
-			}
-			continue
-		}
-		positionals = append(positionals, rest[0])
-		if err := fs.Parse(rest[1:]); err != nil {
-			return 2
-		}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "unexpected arguments: %v\n", fs.Args())
+		return 2
 	}
 	bench.SetWorkers(*workers)
-	pbft.SetDefaultExecWorkers(*execWk)
-
-	switch {
-	case *repPath != "":
-		return runReport(append(strings.Split(*repPath, ","), positionals...), *outPath, stdout, stderr)
-	case *cmpPath != "":
-		paths := append(strings.Split(*cmpPath, ","), positionals...)
-		if len(paths) != 2 {
-			fmt.Fprintf(stderr, "-compare needs exactly two reports: -compare old.json new.json\n")
-			return 2
-		}
-		return runCompare(paths[0], paths[1], *outPath, *gate, stdout, stderr)
-	}
-	if len(positionals) > 0 {
-		fmt.Fprintf(stderr, "unexpected arguments: %v\n", positionals)
-		return 2
+	if *repPath != "" {
+		return runReport(strings.Split(*repPath, ","), *outPath, stdout, stderr)
 	}
 
 	if *list || *expID == "" {
@@ -162,31 +131,6 @@ func runReport(paths []string, outPath string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return emit(&buf, outPath, stdout, stderr)
-}
-
-func runCompare(oldPath, newPath, outPath string, gate float64, stdout, stderr io.Writer) int {
-	reports, err := report.LoadAll(oldPath, newPath)
-	if err != nil {
-		fmt.Fprintf(stderr, "%v\n", err)
-		return 1
-	}
-	d := report.Compare(reports[0], reports[1])
-	var buf bytes.Buffer
-	d.WriteMarkdown(&buf, gate)
-	if code := emit(&buf, outPath, stdout, stderr); code != 0 {
-		return code
-	}
-	if gate > 0 {
-		if reg := d.Regressions(gate); len(reg) > 0 {
-			fmt.Fprintf(stderr, "regression gate: %d metric(s) worsened more than %.0f%%:\n", len(reg), gate)
-			for _, m := range reg {
-				fmt.Fprintf(stderr, "  %s %s: %.4g -> %.4g (%+.1f%%)\n",
-					m.ID, m.Metric, m.Old, m.New, m.DeltaPct)
-			}
-			return 3
-		}
-	}
-	return 0
 }
 
 // emit writes rendered markdown to outPath (or stdout when empty),

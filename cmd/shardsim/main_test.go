@@ -44,8 +44,8 @@ func TestUnknownScaleErrors(t *testing.T) {
 	}
 }
 
-// A bare "-" is a positional to flag.Parse; the re-parse loop must
-// consume it instead of spinning on an unchanging argument list.
+// A bare "-" is a positional to flag.Parse; it must be rejected as an
+// unexpected argument, not hang or run anything.
 func TestBareDashDoesNotHang(t *testing.T) {
 	done := make(chan int, 1)
 	go func() {
@@ -72,8 +72,8 @@ func TestListExitsZero(t *testing.T) {
 	}
 }
 
-// End to end: run a static experiment, write JSON, render it, compare it
-// against a degraded copy with the gate armed.
+// End to end: run a static experiment, write JSON, render it, and render
+// it next to a relabeled copy as a two-session trajectory.
 func TestRunReportCompareEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	jsonPath := filepath.Join(dir, "out.json")
@@ -97,61 +97,27 @@ func TestRunReportCompareEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Degrade a copy: inflate eq2's transition fault probability so the
-	// (ungated) metric moves, and check compare still exits 0; then gate
-	// a fabricated throughput regression via the report package's own
-	// fixtures in internal/report tests — here we only assert exit codes.
 	rep, err := bench.ReadReportFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	degradedPath := filepath.Join(dir, "degraded.json")
-	if err := rep.WriteFile(degradedPath); err != nil {
+	rep.Label = "second"
+	secondPath := filepath.Join(dir, "second.json")
+	if err := rep.WriteFile(secondPath); err != nil {
 		t.Fatal(err)
 	}
-	if code := run([]string{"-compare", jsonPath, degradedPath, "-gate", "15"},
-		&out, &errOut); code != 0 {
-		t.Fatalf("identical compare should exit 0, got %d: %s", code, errOut.String())
+	out.Reset()
+	if code := run([]string{"-report", jsonPath + "," + secondPath}, &out, &errOut); code != 0 {
+		t.Fatalf("two-report -report failed (%d): %s", code, errOut.String())
 	}
-
-	// -compare with one path is a usage error.
-	if code := run([]string{"-compare", jsonPath}, &out, &errOut); code != 2 {
-		t.Fatalf("-compare with one report: exit %d, want 2", code)
-	}
-}
-
-// The regression gate must exit 3 when a gated throughput metric drops
-// beyond the threshold (the CI contract).
-func TestCompareGateExitCode(t *testing.T) {
-	dir := t.TempDir()
-	mk := func(name string, tps string) string {
-		r := bench.NewReport(name)
-		r.Scale = "smoke"
-		r.AddTable("fig8", "t", time.Millisecond, &bench.Table{
-			ID:   "fig8",
-			Cols: []string{"mode", "x", "HL", "AHL", "AHL+", "AHLR"},
-			Rows: [][]string{{"N", "7", "500", "500", tps, "600"}},
-		})
-		path := filepath.Join(dir, name+".json")
-		if err := r.WriteFile(path); err != nil {
-			t.Fatal(err)
+	for _, want := range []string{"## Trajectory", "second (smoke)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("trajectory render missing %q:\n%s", want, out.String())
 		}
-		return path
 	}
-	oldPath := mk("old", "1000")
-	newPath := mk("new", "700") // -30%
-	var out, errOut strings.Builder
-	if code := run([]string{"-compare", oldPath, newPath, "-gate", "15"}, &out, &errOut); code != 3 {
-		t.Fatalf("exit code = %d, want 3 (regression gate)", code)
-	}
-	if !strings.Contains(errOut.String(), "regression gate") {
-		t.Fatalf("stderr missing gate message: %s", errOut.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Fatalf("markdown missing REGRESSION flag: %s", out.String())
-	}
-	// Same drop with the gate off: informational only.
-	if code := run([]string{"-compare", oldPath, newPath}, &out, &errOut); code != 0 {
-		t.Fatalf("ungated compare exit = %d, want 0", code)
+
+	// Reports are named only through -report's comma form.
+	if code := run([]string{"-report", jsonPath, secondPath}, &out, &errOut); code != 2 {
+		t.Fatalf("positional report path: exit %d, want 2", code)
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/json"
 	"math/rand"
 	"strings"
 	"testing"
@@ -23,35 +25,75 @@ import (
 // write-set content or reply timing shows up as a text diff. The
 // state-level test below additionally compares the full final key/value
 // state (so SmallBank balances) of every shard quorum head.
+//
+// The serial pass doubles as the simulator's regression gate: each table
+// must equal its payload in the checked-in BENCH_smoke.json byte for
+// byte. The simulator is deterministic, so there is no tolerance; a
+// change that moves a table on purpose regenerates the baseline.
 
 // smokeOutputs renders every experiment whose id passes keep at smoke
 // scale with the package-wide parallel-execution worker count forced to
-// workers, and returns the table text keyed by experiment id.
-func smokeOutputs(keep func(id string) bool, workers int) map[string]string {
+// workers, and returns the table text and its JSON payload, keyed by
+// experiment id.
+func smokeOutputs(t *testing.T, keep func(id string) bool, workers int) (text map[string]string, data map[string][]byte) {
 	pbft.SetDefaultExecWorkers(workers)
 	defer pbft.SetDefaultExecWorkers(0)
-	out := make(map[string]string)
+	text, data = make(map[string]string), make(map[string][]byte)
 	for _, e := range All() {
 		if !keep(e.ID) {
 			continue
 		}
+		tbl := e.Run(Smoke())
 		var sb strings.Builder
-		e.Run(Smoke()).Fprint(&sb)
-		out[e.ID] = sb.String()
+		tbl.Fprint(&sb)
+		text[e.ID] = sb.String()
+		b, err := json.Marshal(tbl.Data())
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[e.ID] = b
 	}
-	return out
+	return text, data
+}
+
+// smokeBaseline reads the checked-in smoke tables as JSON payloads keyed
+// by experiment id.
+func smokeBaseline(t *testing.T) map[string][]byte {
+	rep, err := ReadReportFile("../../BENCH_smoke.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string][]byte)
+	for _, e := range rep.Experiments {
+		if e.Table == nil {
+			continue
+		}
+		b, err := json.Marshal(e.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.ID] = b
+	}
+	return want
 }
 
 func assertEquivalentOutputs(t *testing.T, keep func(id string) bool) {
 	t.Helper()
-	serial := smokeOutputs(keep, 1)
-	parallel := smokeOutputs(keep, 4)
+	want := smokeBaseline(t)
+	serial, serialData := smokeOutputs(t, keep, 1)
+	parallel, _ := smokeOutputs(t, keep, 4)
 	if len(serial) == 0 {
 		t.Fatal("experiment filter matched nothing")
 	}
 	for _, e := range All() {
 		if !keep(e.ID) {
 			continue
+		}
+		if !bytes.Equal(serialData[e.ID], want[e.ID]) {
+			t.Errorf("%s table differs from BENCH_smoke.json; if the change is intended, regenerate the baseline:\n"+
+				"  shardsim -exp all -scale smoke -label smoke-baseline -json BENCH_smoke.json\n"+
+				"  shardsim -report BENCH_smoke.json -o EXPERIMENTS.md\n got: %s\nwant: %s",
+				e.ID, serialData[e.ID], want[e.ID])
 		}
 		if serial[e.ID] != parallel[e.ID] {
 			t.Errorf("%s diverges under parallel execution:\n--- serial ---\n%s--- 4 workers ---\n%s",
@@ -60,9 +102,10 @@ func assertEquivalentOutputs(t *testing.T, keep func(id string) bool) {
 	}
 }
 
-// TestParallelExecEquivalenceFaultSchedules runs the PR 3 fault-injection
+// TestParallelExecEquivalenceFaultSchedules runs the fault-injection
 // family (crashes, partitions, link faults, Byzantine behaviors, 2PC
-// coordinator failures) serial vs parallel.
+// coordinator failures) serial vs parallel, and checks the serial tables
+// against BENCH_smoke.json.
 func TestParallelExecEquivalenceFaultSchedules(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping two full fault-schedule passes in -short mode")
@@ -71,7 +114,8 @@ func TestParallelExecEquivalenceFaultSchedules(t *testing.T) {
 }
 
 // TestParallelExecEquivalenceSmokeTier runs every remaining registered
-// experiment serial vs parallel at smoke scale.
+// experiment serial vs parallel at smoke scale, and checks the serial
+// tables against BENCH_smoke.json.
 func TestParallelExecEquivalenceSmokeTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping two full smoke-tier passes in -short mode")

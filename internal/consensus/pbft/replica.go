@@ -1,7 +1,6 @@
 package pbft
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -1417,20 +1416,4 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		}
 		r.scheduleBatch()
 	}
-}
-
-// DebugEntry renders the consensus entry at seq for fault diagnosis in
-// tests; not part of the stable API.
-func (r *Replica) DebugEntry(seq uint64) string {
-	e := r.entries[seq]
-	if e == nil {
-		return "<none>"
-	}
-	blk := 0
-	if e.block != nil {
-		blk = len(e.block.Txs)
-	}
-	return fmt.Sprintf("view=%d pp=%v prep=%v(%d) comm=%v(%d) exec=%v txs=%d",
-		e.view, e.prePrepared, e.prepared, e.prepares.count(),
-		e.committed, e.commits.count(), e.executed, blk)
 }

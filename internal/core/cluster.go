@@ -16,7 +16,7 @@ import (
 	"repro/internal/txn"
 )
 
-// liveCosts is the live runtime's default cost model: one nanosecond per
+// liveCosts is the live runtime's cost model: one nanosecond per
 // enclave operation. Effectively free — the process pays real CPU time for
 // its real work — but distinguishable from the zero value, which the
 // committee builders treat as "use the paper's Table 2 defaults".
@@ -66,10 +66,6 @@ type ClusterConfig struct {
 
 	// BatchTimeoutMs overrides the leader batch timeout in milliseconds.
 	BatchTimeoutMs int `json:"batch_timeout_ms,omitempty"`
-	// Table2Costs charges the paper's measured SGX operation latencies
-	// (Table 2) to each node's virtual CPU, as the simulator does. Live
-	// deployments default to free costs: the real process pays real CPU.
-	Table2Costs bool `json:"table2_costs,omitempty"`
 
 	// DataDir roots each replica's durable state (WAL + snapshots) at
 	// <DataDir>/node-<id>/; empty runs memory-only, with recovery relying
@@ -349,11 +345,7 @@ func (c *ClusterConfig) liveConfig() Config {
 		Variant:     v,
 		Clients:     len(c.Clients),
 		SendReplies: true, // live clients are closed-loop
-	}
-	if c.Table2Costs {
-		cfg.Costs = tee.DefaultCosts()
-	} else {
-		cfg.Costs = liveCosts()
+		Costs:       liveCosts(),
 	}
 	// The live regime is fixed, not configurable: pipelined, adaptively
 	// batched and parallel. The simulator keeps the pbft.Options zero
@@ -367,12 +359,10 @@ func (c *ClusterConfig) liveConfig() Config {
 		if c.BatchTimeoutMs > 0 {
 			o.Timing.BatchTimeout = time.Duration(c.BatchTimeoutMs) * time.Millisecond
 		}
-		if !c.Table2Costs {
-			// The process pays real CPU for hashing and tag checks; do not
-			// also charge the simulator's modelled verification time.
-			o.ExecPerTx = 0
-			o.RequestVerify = 0
-		}
+		// The process pays real CPU for hashing and tag checks; do not
+		// also charge the simulator's modelled verification time.
+		o.ExecPerTx = 0
+		o.RequestVerify = 0
 	}
 	return cfg
 }

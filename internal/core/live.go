@@ -34,10 +34,9 @@ import (
 // protocol code keeps its no-locks, deterministic-callback model — but the
 // loop advances the virtual clock in lockstep with the wall clock: run
 // everything due, sleep until the next timer or inbound frame, repeat.
-// Virtual costs (CPU service time, enclave operations) default to ~zero in
-// live mode because the process pays real CPU for its real work; set
-// ClusterConfig.Table2Costs to re-inject the paper's measured SGX
-// latencies into a live cluster.
+// Virtual costs (CPU service time, enclave operations) are ~zero in live
+// mode because the process pays real CPU for its real work; the paper's
+// measured SGX latencies (Table 2) are charged only by the simulator.
 
 // liveInboxLen bounds buffered inbound frames per node. A full inbox
 // drops (the protocols retransmit), mirroring the bounded queues real
@@ -432,9 +431,6 @@ func (n *LiveNode) Executed() int {
 	n.Do(func() { v = n.Replica.Executed() })
 	return v
 }
-
-// DroppedInbound reports frames shed by a full inbox.
-func (n *LiveNode) DroppedInbound() uint64 { return n.loop.droppedIn.Load() }
 
 // Stop halts the node's event loop and cleanly flushes and closes its
 // storage backend. The transport is the caller's to close (several

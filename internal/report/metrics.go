@@ -51,12 +51,6 @@ type Metric struct {
 	LowerBetter bool
 }
 
-// Gated reports whether the comparator's regression gate applies to this
-// metric: simulated throughput is the reproduction's contract, so only
-// higher-is-better throughput metrics fail CI. Latency/ratio/analytic
-// metrics are tracked but informational.
-func (m *Metric) Gated() bool { return m != nil && m.Unit == "tps" && !m.LowerBetter }
-
 // Extract computes the metric over the table. ok is false when the metric
 // cannot be computed (missing column, no parsable selected cells).
 func (m *Metric) Extract(t *bench.TableData) (v float64, ok bool) {

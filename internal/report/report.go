@@ -6,17 +6,19 @@
 //     table/figure, the full result table, an ASCII sparkline of the
 //     experiment's key series, and a paper-target column showing how far
 //     the simulated numbers are from the paper's headline values.
-//   - Compare diffs two reports (typically the previous PR's checked-in
-//     baseline against a fresh run) metric by metric, and Regressions
-//     gates on throughput drops — that is what CI fails on.
+//   - Given several reports, Render appends a trajectory table of the
+//     key metrics across sessions, so two runs can be read side by side.
 //
-// The package consumes only report JSON, never the simulator, so any
-// historical BENCH_*.json remains renderable and comparable as the
-// harness evolves. Rendered output depends only on the deterministic
-// parts of a report (tier, scale parameters, table content); wall-clock
-// times, timestamps, and machine stamps are deliberately excluded, which
-// is why regenerating EXPERIMENTS.md from a fresh same-revision run is a
-// no-op diff.
+// The package does not gate anything: the simulator is deterministic,
+// so the gate is exact equality of every smoke table with the
+// checked-in BENCH_smoke.json (internal/bench's equivalence test and
+// CI's EXPERIMENTS.md diff). The package consumes only report JSON,
+// never the simulator, so any historical BENCH_*.json remains
+// renderable as the harness evolves. Rendered output depends only on
+// the deterministic parts of a report (tier, scale parameters, table
+// content); wall-clock times, timestamps, and machine stamps are
+// deliberately excluded, which is why regenerating EXPERIMENTS.md from
+// a fresh same-revision run is a no-op diff.
 package report
 
 import (
@@ -82,9 +84,8 @@ func Render(w io.Writer, reports ...*bench.Report) error {
 func renderSession(w io.Writer, r *bench.Report) {
 	// The session label is deliberately omitted: EXPERIMENTS.md must be
 	// byte-identical however the generating run was labeled, so that
-	// regenerating it is a no-op diff (labels still appear in -compare
-	// output and the trajectory table, where distinguishing runs is the
-	// point).
+	// regenerating it is a no-op diff (labels still appear in the
+	// trajectory table, where distinguishing runs is the point).
 	fmt.Fprintf(w, "## Session — %s tier\n\n", firstNonEmpty(r.Scale, "unknown"))
 	if p := r.ScaleParams; p != nil {
 		fmt.Fprintf(w, "Committee cap N=%d, %.0fs measurement window, %d-node system cap.\n\n",
@@ -371,6 +372,10 @@ func formatValue(v float64, unit string) string {
 		s += " " + unit
 	}
 	return s
+}
+
+func labelOf(r *bench.Report) string {
+	return firstNonEmpty(r.Label, "(unlabeled)")
 }
 
 func firstNonEmpty(a, b string) string {

@@ -106,9 +106,6 @@ func GCP(regions int, nodes []NodeID) *Regional {
 	return m
 }
 
-// Region returns the region index of node id.
-func (r *Regional) Region(id NodeID) int { return r.RegionOf[id] }
-
 // Delay implements LatencyModel.
 func (r *Regional) Delay(from, to NodeID, size int, rng *rand.Rand) time.Duration {
 	ra, rb := r.RegionOf[from], r.RegionOf[to]

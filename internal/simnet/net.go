@@ -186,15 +186,6 @@ type EndpointStats struct {
 	Dropped   [numClasses]int
 }
 
-// DroppedTotal returns total dropped messages across classes.
-func (s EndpointStats) DroppedTotal() int {
-	t := 0
-	for _, d := range s.Dropped {
-		t += d
-	}
-	return t
-}
-
 // DroppedByClass returns the drop count for class c.
 func (s EndpointStats) DroppedByClass(c Class) int { return s.Dropped[c] }
 
@@ -237,10 +228,6 @@ func (ep *Endpoint) Handler() Handler { return ep.handler }
 // SetHandler installs the message handler. It must be set before any
 // message arrives.
 func (ep *Endpoint) SetHandler(h Handler) { ep.handler = h }
-
-// SetQueueConfig replaces the queue layout (used when a node switches from
-// stock to optimized configuration between experiments).
-func (ep *Endpoint) SetQueueConfig(cfg QueueConfig) { ep.cfg = cfg }
 
 // SetDown marks the node crashed (true) or alive (false). A crashed node
 // discards arrivals and sends nothing. State transitions notify the

@@ -168,9 +168,6 @@ func (p *Platform) Quote(m Measurement, data blockcrypto.Digest) Report {
 	}
 }
 
-// PlatformKey returns the key id of this platform's attestation key.
-func (p *Platform) PlatformKey() blockcrypto.KeyID { return p.signer.ID() }
-
 // IncrementCounter increments and returns the named hardware monotonic
 // counter. Counters survive enclave restarts and cannot be rolled back.
 func (p *Platform) IncrementCounter(name string) uint64 {

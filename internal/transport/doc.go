@@ -1,19 +1,13 @@
-// Package transport abstracts how protocol messages move between nodes,
-// so the same consensus/transaction stack runs over the discrete-event
-// simulator and over real sockets.
+// Package transport abstracts how protocol messages move between the
+// nodes of a live deployment. The simulator routes through simnet
+// directly; live nodes bridge that same network onto a Transport.
 //
-// A Transport delivers simnet.Message values addressed by node id:
-//
-//   - Sim adapts an existing simnet.Network. It adds nothing on top of the
-//     simulator's own routing — experiments that use simnet directly stay
-//     byte-identical — and exists so runtime-agnostic code (node assembly,
-//     tools, tests) can be written once against the Transport interface.
-//
-//   - TCP carries frames over real TCP connections: each message is
-//     encoded with internal/wire, length-prefixed, and written to a
-//     per-peer outbound queue whose writer goroutine dials lazily,
-//     redials with exponential backoff, and drains on graceful shutdown.
-//     Peer addresses come from a static topology (see core.ClusterConfig).
+// A Transport delivers simnet.Message values addressed by node id. TCP,
+// the one implementation, carries frames over real TCP connections: each
+// message is encoded with internal/wire, length-prefixed, and written to
+// a per-peer outbound queue whose writer goroutine dials lazily, redials
+// with exponential backoff, and drains on graceful shutdown. Peer
+// addresses come from a static topology (see core.ClusterConfig).
 //
 // The AHL protocol family is designed for lossy, partially-synchronous
 // networks — every layer retransmits with backoff — so the TCP transport

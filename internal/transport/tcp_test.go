@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/consensus/pbft"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/transport"
 	"repro/internal/txn"
@@ -194,34 +193,5 @@ func TestTCPLocalShortCircuit(t *testing.T) {
 	}
 	if err := a.Send(simnet.Message{To: 99, Type: pbft.MsgRequest}); err == nil {
 		t.Fatal("unroutable destination should error")
-	}
-}
-
-// TestSimAdapter shows the simulator path adds no serialization: the
-// delivered payload is the identical Go value, so experiments driven
-// through the adapter are byte-identical to driving simnet directly.
-func TestSimAdapter(t *testing.T) {
-	engine := sim.NewEngine(1)
-	net := simnet.New(engine, simnet.LAN())
-	tr := transport.NewSim(net)
-	defer tr.Close()
-
-	var rx simnet.Message
-	tr.RegisterHandler(1, func(simnet.Message) {})
-	tr.RegisterHandler(2, func(m simnet.Message) { rx = m })
-
-	m := samples(1, 2)[3] // pre-prepare: pointer payload
-	if err := tr.Send(m); err != nil {
-		t.Fatal(err)
-	}
-	engine.RunUntilIdle()
-	if rx.Type != m.Type {
-		t.Fatalf("not delivered: %+v", rx)
-	}
-	if rx.Payload != m.Payload {
-		t.Fatal("sim adapter must pass the identical payload value (no re-encoding)")
-	}
-	if err := tr.Send(simnet.Message{From: 99, To: 1}); err == nil {
-		t.Fatal("send from unattached node should error")
 	}
 }
