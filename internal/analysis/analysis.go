@@ -7,10 +7,10 @@
 // export data, so the module needs no dependencies.
 //
 // The suite exists because the repo's replicas must be deterministic
-// state machines: the simulator's byte-identical replay, the digest-chain
-// equivalence harness, and the published BENCH baselines all assume that
+// state machines: the simulator's byte-identical replay, the exact
+// smoke-table gate, and the published BENCH baselines all assume that
 // re-running a schedule reproduces the same bytes. The dynamic harnesses
-// (PR 3's fault replay, PR 7's equivalence tests) only sample that
+// (fault replay, the smoke-table gate) only sample that
 // property; the analyzers in the subdirectories enforce the underlying
 // invariants on every build:
 //

@@ -89,7 +89,6 @@ var allowed = map[string]map[funcRef]string{
 	"internal/consensus/pbft": {
 		{"internal/consensus/pbft", "Replica", "finishExecute"}: "scheduled by tryExecute strictly after appendDecided succeeded; the WAL already holds the batch",
 		{"internal/consensus/pbft", "Replica", "ReplayDecided"}: "boot recovery re-executing what the WAL itself holds",
-		{"internal/consensus/pbft", "", "runExecGroup"}:         "parexec worker computes speculative overlay results; state is mutated only when finishExecute folds them in",
 	},
 	"internal/txn": {
 		{"internal/txn", "Manager", "inject"}:         "journals stageWriteInjected before Replica.SubmitLocal (structurally verified below)",

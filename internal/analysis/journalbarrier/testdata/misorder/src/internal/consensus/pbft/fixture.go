@@ -32,7 +32,3 @@ func (r *Replica) ReplayDecided(tx any) {
 	r.ledger.Append(tx)
 	r.reg.Execute(tx)
 }
-
-func runExecGroup(reg *chaincode.Registry, tx any) chaincode.Result {
-	return reg.ExecuteOver(nil, tx)
-}

@@ -15,8 +15,7 @@ import (
 )
 
 // Reader is the read-only state view a chaincode invocation runs over.
-// *chain.Store implements it directly; the parallel executor substitutes
-// per-group overlays that observe earlier same-group writes.
+// *chain.Store implements it directly.
 type Reader interface {
 	Get(key string) ([]byte, bool)
 }
@@ -158,9 +157,8 @@ func (r *Registry) Execute(store *chain.Store, tx chain.Tx) Result {
 
 // ExecuteOver runs tx against a read-only state view and returns the
 // outcome without applying anything: the caller owns ordering and applies
-// successful write-sets itself. The parallel executor uses this with
-// per-group overlay views; Execute is the apply-immediately convenience
-// over it.
+// successful write-sets itself. Execute is the apply-immediately
+// convenience over it.
 func (r *Registry) ExecuteOver(view Reader, tx chain.Tx) Result {
 	cc, ok := r.codes[tx.Chaincode]
 	if !ok {
@@ -174,34 +172,6 @@ func (r *Registry) ExecuteOver(view Reader, tx chain.Tx) Result {
 		res.Committed = ctx.Committed()
 	}
 	return res
-}
-
-// ConflictDeclarer is implemented by chaincodes that can declare, before
-// execution, a superset of the state keys an invocation may read or
-// write. The declared sets drive conflict-aware parallel execution:
-// transactions whose key sets are disjoint run concurrently; overlapping
-// ones stay in sequence order. Returning ok=false means "cannot tell" and
-// forces the whole batch serial, which is always safe.
-type ConflictDeclarer interface {
-	// ConflictKeys returns a superset of keys tx may touch. The view lets
-	// implementations resolve indirection (e.g. a 2PL stage index) from
-	// committed state; it must only be read.
-	ConflictKeys(view Reader, fn string, args []string) (keys []string, ok bool)
-}
-
-// ConflictKeys reports the conservative key set tx may touch, or ok=false
-// when the chaincode is unknown or does not declare conflicts (such
-// transactions serialize their whole batch).
-func (r *Registry) ConflictKeys(view Reader, tx chain.Tx) ([]string, bool) {
-	cc, ok := r.codes[tx.Chaincode]
-	if !ok {
-		return nil, false
-	}
-	d, ok := cc.(ConflictDeclarer)
-	if !ok {
-		return nil, false
-	}
-	return d.ConflictKeys(view, tx.Fn, tx.Args)
 }
 
 // Common chaincode errors.

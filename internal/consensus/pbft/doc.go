@@ -43,15 +43,15 @@
 // survives leader failure with no decided sequence lost and no sequence
 // executed twice (pipeline_test.go pins this).
 //
-// Three levers separate the two regimes the runtimes run, and the
-// runtime, not the user, picks between them. The simulator leaves all
-// three at their zero values (Window-only bound, fixed batch timer,
-// serial execution), so the published figures stay byte-identical; the
-// live runtime (internal/core's ClusterConfig) always turns all three on.
-// Each regime measurably wins on its own runtime's workloads: adaptive
-// batching in the simulator cuts fig2's HL throughput at N=7 from 4000 to
-// 1803 tx/s, while the fixed timer on the live path halves single-shard
-// write goodput and raises its p50 from ~5 ms to ~21 ms.
+// Two levers separate the two regimes the runtimes run, and the
+// runtime, not the user, picks between them. The simulator leaves both
+// at their zero values (Window-only bound, fixed batch timer), so the
+// published figures stay byte-identical; the live runtime
+// (internal/core's ClusterConfig) always turns both on. Each regime
+// measurably wins on its own runtime's workloads: adaptive batching in
+// the simulator cuts fig2's HL throughput at N=7 from 4000 to 1803 tx/s,
+// while the fixed timer on the live path halves single-shard write
+// goodput and raises its p50 from ~5 ms to ~21 ms.
 //
 //   - AdaptiveBatch replaces the fixed BatchTimeout cadence when the
 //     pipeline is idle: a partial batch is cut after the short
@@ -60,11 +60,10 @@
 //     amortize per-sequence protocol cost.
 //   - PipelineDepth caps how far sequence assignment may run ahead of
 //     local execution (0 = checkpoint window only).
-//   - ExecWorkers > 1 enables conflict-aware parallel execution of a
-//     decided batch: transactions are partitioned into non-conflicting
-//     groups via the chaincodes' declared key sets (chaincode.ConflictKeys,
-//     grounded in the same keys the 2PL lock table guards), groups execute
-//     concurrently against overlay views, and write-sets are applied in
-//     original block order — so the state digest chain is byte-identical
-//     to serial execution (internal/bench equivalence harness).
+//
+// Both runtimes execute a decided block the same way: serially on the
+// engine goroutine, each transaction through chaincode.Registry.Execute
+// in block order. Execution is a fraction of a millisecond per block
+// against milliseconds of PBFT commit and tens of milliseconds of 2PC,
+// so the protocol, not execution, bounds throughput.
 package pbft

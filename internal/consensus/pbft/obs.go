@@ -34,14 +34,6 @@ type pbftMetrics struct {
 	executedBatches *obs.Counter
 	executedTxs     *obs.Counter
 	snapshotCopy    *obs.Histogram // stable-view snapshot materialization
-
-	// Conflict-aware parallel execution.
-	parexParallel *obs.Counter   // blocks executed in parallel
-	parexSerial   *obs.Counter   // blocks that stayed serial (small/undeclarable/1 group)
-	parexFallback *obs.Counter   // parallel runs discarded by the conflict cross-check
-	parexGroups   *obs.Histogram // conflict groups per parallel block
-	parexGroupTxs *obs.Histogram // transactions per conflict group
-	parexUtil     *obs.Histogram // worker busy time / (workers * wall time), percent
 }
 
 func newPBFTMetrics(hub *obs.Hub, node uint32) *pbftMetrics {
@@ -67,13 +59,6 @@ func newPBFTMetrics(hub *obs.Hub, node uint32) *pbftMetrics {
 		executedBatches: reg.Counter("pbft_executed_batches_total"),
 		executedTxs:     reg.Counter("pbft_executed_txs_total"),
 		snapshotCopy:    reg.Histogram("pbft_snapshot_copy_latency"),
-
-		parexParallel: reg.Counter("pbft_parexec_parallel_total"),
-		parexSerial:   reg.Counter("pbft_parexec_serial_total"),
-		parexFallback: reg.Counter("pbft_parexec_conflict_fallback_total"),
-		parexGroups:   reg.SizeHistogram("pbft_parexec_groups"),
-		parexGroupTxs: reg.SizeHistogram("pbft_parexec_group_txs"),
-		parexUtil:     reg.SizeHistogram("pbft_parexec_utilization_pct"),
 	}
 }
 

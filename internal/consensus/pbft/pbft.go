@@ -130,11 +130,6 @@ type Options struct {
 	// keep the BatchTimeout cadence so batches grow under load. Off (the
 	// default) preserves the simulator's byte-identical legacy schedule.
 	AdaptiveBatch bool
-	// ExecWorkers sets the number of goroutines executing non-conflicting
-	// transaction groups of a decided block concurrently. 0 uses the
-	// package default (serial unless SetDefaultExecWorkers was called);
-	// values <= 1 execute serially on the engine goroutine.
-	ExecWorkers int
 }
 
 // DefaultBatchMinDelay is the adaptive batch cut delay when the pipeline

@@ -171,9 +171,6 @@ type Replica struct {
 	// and the flag lets the handler skip the redundant check. Consume-once
 	// via takeVerified so an early return cannot leak it to a later check.
 	verifiedMsg bool
-	// execWorkers caps goroutines for conflict-aware parallel execution
-	// (resolved from Options.ExecWorkers at construction; <=1 = serial).
-	execWorkers int
 	// batchTimerFast records that batchTimer is armed with the adaptive
 	// fast-path coalescing delay rather than the full BatchTimeout, so an
 	// idle-pipeline arrival can tell whether the pending cut is already
@@ -223,10 +220,6 @@ func New(opts Options, deps Deps) *Replica {
 	r.engine = deps.Platform.Engine()
 	if r.store == nil {
 		r.store = chain.NewStore()
-	}
-	r.execWorkers = opts.ExecWorkers
-	if r.execWorkers == 0 {
-		r.execWorkers = defaultExecWorkers()
 	}
 	charge := func(d time.Duration) { deps.Endpoint.CPU().Charge(d) }
 	costs := deps.Platform.Costs()
@@ -1218,28 +1211,13 @@ func (r *Replica) finishExecute(e *entry) {
 		panic("pbft: ledger append: " + err.Error())
 	}
 
-	// Conflict-aware parallel execution (live path): precompute results
-	// for non-conflicting groups on worker goroutines, then fold them in
-	// below in block order — write-sets apply in the same order the serial
-	// loop would, so the state digest chain is identical. plan is nil when
-	// the block executes serially (workers <= 1, undeclarable conflicts,
-	// or a single conflict group).
-	plan := r.planParallel(e.block.Txs)
 	results := make([]chaincode.Result, 0, len(e.block.Txs))
 	for _, tx := range e.block.Txs {
 		if r.executedTxIDs[tx.ID] {
 			continue
 		}
 		r.executedTxIDs[tx.ID] = true
-		var res chaincode.Result
-		if plan != nil {
-			res = plan.results[tx.ID]
-			if res.OK() {
-				r.store.Apply(res.Write)
-			}
-		} else {
-			res = r.deps.Registry.Execute(r.store, tx)
-		}
+		res := r.deps.Registry.Execute(r.store, tx)
 		r.executedOK[tx.ID] = res.OK()
 		for _, dtx := range res.Committed {
 			r.store.RecordCommit(dtx)

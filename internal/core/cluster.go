@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"repro/internal/consensus/pbft"
@@ -347,15 +346,14 @@ func (c *ClusterConfig) liveConfig() Config {
 		SendReplies: true, // live clients are closed-loop
 		Costs:       liveCosts(),
 	}
-	// The live regime is fixed, not configurable: pipelined, adaptively
-	// batched and parallel. The simulator keeps the pbft.Options zero
+	// The live regime is fixed, not configurable: pipelined and adaptively
+	// batched. The simulator keeps the pbft.Options zero
 	// values, so the published figures stay byte-identical; each regime
 	// measurably wins on its own runtime's workloads (see pbft's package
 	// documentation).
 	cfg.Tune = func(o *pbft.Options) {
 		o.PipelineDepth = livePipelineDepth
 		o.AdaptiveBatch = true
-		o.ExecWorkers = min(runtime.NumCPU(), 8)
 		if c.BatchTimeoutMs > 0 {
 			o.Timing.BatchTimeout = time.Duration(c.BatchTimeoutMs) * time.Millisecond
 		}

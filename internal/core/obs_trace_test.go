@@ -16,7 +16,7 @@ import (
 // runInstrumentedSim drives a fixed cross-shard workload through an
 // obs-instrumented simulation and returns the exported trace and
 // registry snapshot as bytes.
-func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
+func runInstrumentedSim(t *testing.T) (trace, snap []byte) {
 	t.Helper()
 	s := NewSystem(Config{
 		Seed:        7,
@@ -27,7 +27,6 @@ func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
 		Clients:     2,
 		SendReplies: true,
 		Costs:       tee.FreeCosts(),
-		Tune:        func(o *pbft.Options) { o.ExecWorkers = workers },
 		Obs:         true,
 	})
 	s.Seed(20, 100)
@@ -57,40 +56,25 @@ func runInstrumentedSim(t *testing.T, workers int) (trace, snap []byte) {
 }
 
 // TestSimTraceDeterministic pins the obs clock seam: with the engine
-// clock injected, the exported trace must be byte-identical across runs
-// AND across executor worker counts (trace events are recorded on the
-// engine goroutine only, so parallel execution cannot reorder them).
-// Registry snapshots must be byte-identical across runs of the same
-// configuration; across worker counts only the parexec routing counters
-// may differ, so they are compared per-configuration.
+// clock injected, the exported trace and the registry snapshot must be
+// byte-identical across runs.
 func TestSimTraceDeterministic(t *testing.T) {
-	trace1a, snap1a := runInstrumentedSim(t, 1)
-	trace1b, snap1b := runInstrumentedSim(t, 1)
-	trace4a, snap4a := runInstrumentedSim(t, 4)
-	trace4b, snap4b := runInstrumentedSim(t, 4)
+	traceA, snapA := runInstrumentedSim(t)
+	traceB, snapB := runInstrumentedSim(t)
 
-	if len(trace1a) == 0 {
+	if len(traceA) == 0 {
 		t.Fatal("instrumented sim recorded no trace events")
 	}
-	if !bytes.Equal(trace1a, trace1b) {
-		t.Error("trace differs across identical runs (workers=1)")
+	if !bytes.Equal(traceA, traceB) {
+		t.Error("trace differs across identical runs")
 	}
-	if !bytes.Equal(trace4a, trace4b) {
-		t.Error("trace differs across identical runs (workers=4)")
-	}
-	if !bytes.Equal(trace1a, trace4a) {
-		t.Error("trace differs across worker counts (1 vs 4)")
-	}
-	if !bytes.Equal(snap1a, snap1b) {
-		t.Error("snapshot differs across identical runs (workers=1)")
-	}
-	if !bytes.Equal(snap4a, snap4b) {
-		t.Error("snapshot differs across identical runs (workers=4)")
+	if !bytes.Equal(snapA, snapB) {
+		t.Error("snapshot differs across identical runs")
 	}
 
 	// The trace must contain consensus and 2PC lifecycle stages, and the
 	// span pairing table must derive at least one complete span from it.
-	events, err := obs.ParseTraceJSON(bytes.NewReader(trace1a))
+	events, err := obs.ParseTraceJSON(bytes.NewReader(traceA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +104,7 @@ func TestSimTraceDeterministic(t *testing.T) {
 // TestSimSnapshotHasStageHistograms asserts the instrumented sim
 // populates the headline metrics the scrape table renders.
 func TestSimSnapshotHasStageHistograms(t *testing.T) {
-	_, raw := runInstrumentedSim(t, 1)
+	_, raw := runInstrumentedSim(t)
 	snap, err := obs.ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)

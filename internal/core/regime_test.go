@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/consensus/pbft"
@@ -16,7 +15,7 @@ func specOptions(spec pbft.CommitteeSpec, index int) pbft.Options {
 }
 
 // TestConsensusRegimes pins the two regimes the runtimes pick: live
-// replicas are pipelined, adaptively batched and parallel with no
+// replicas are pipelined and adaptively batched with no
 // modelled execution or verification cost; simulated replicas keep the
 // pbft.Options zero values that the published figures were measured with.
 func TestConsensusRegimes(t *testing.T) {
@@ -38,7 +37,6 @@ func TestConsensusRegimes(t *testing.T) {
 	}
 	live := cc.liveConfig()
 	topo := cc.Topology()
-	wantWorkers := min(runtime.NumCPU(), 8)
 	for _, c := range []struct {
 		name string
 		spec pbft.CommitteeSpec
@@ -47,9 +45,8 @@ func TestConsensusRegimes(t *testing.T) {
 		{"live reference", RefSpec(live, topo.RefNodes, nil)},
 	} {
 		name, o := c.name, specOptions(c.spec, 1)
-		if o.PipelineDepth != 8 || !o.AdaptiveBatch || o.ExecWorkers != wantWorkers {
-			t.Errorf("%s: depth %d adaptive %v workers %d, want 8 true %d",
-				name, o.PipelineDepth, o.AdaptiveBatch, o.ExecWorkers, wantWorkers)
+		if o.PipelineDepth != 8 || !o.AdaptiveBatch {
+			t.Errorf("%s: depth %d adaptive %v, want 8 true", name, o.PipelineDepth, o.AdaptiveBatch)
 		}
 		if o.ExecPerTx != 0 || o.RequestVerify != 0 {
 			t.Errorf("%s: modelled costs exec %v verify %v, want 0 0", name, o.ExecPerTx, o.RequestVerify)
@@ -66,9 +63,8 @@ func TestConsensusRegimes(t *testing.T) {
 		{"sim reference", RefSpec(s.Config, s.RefCommittee.Committee.Nodes, nil)},
 	} {
 		name, o := c.name, specOptions(c.spec, 1)
-		if o.PipelineDepth != 0 || o.AdaptiveBatch || o.ExecWorkers != 0 {
-			t.Errorf("%s: depth %d adaptive %v workers %d, want 0 false 0 (serial)",
-				name, o.PipelineDepth, o.AdaptiveBatch, o.ExecWorkers)
+		if o.PipelineDepth != 0 || o.AdaptiveBatch {
+			t.Errorf("%s: depth %d adaptive %v, want 0 false", name, o.PipelineDepth, o.AdaptiveBatch)
 		}
 	}
 }

@@ -97,7 +97,7 @@ type Event struct {
 // uncontended mutex (the exporter may read concurrently) and writes one
 // preallocated slot: 0 allocs/op. Sampling is deterministic — a pure
 // function of the transaction ID — so sim-mode traces are byte-identical
-// across runs and worker counts.
+// across runs.
 type Tracer struct {
 	mu    sync.Mutex
 	ring  []Event

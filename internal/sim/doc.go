@@ -31,8 +31,8 @@
 // sorting or proving the body order-insensitive, and never consult the
 // wall clock or the global math/rand source — randomness comes from
 // seeded *rand.Rand instances derived from the engine or topology seed.
-// The dynamic harnesses (byte-identical replay, the serial-vs-parallel
-// equivalence suite) sample these invariants at runtime; the ahlvet
+// The dynamic harnesses (byte-identical replay, the exact smoke-table
+// gate) sample these invariants at runtime; the ahlvet
 // analyzer suite (internal/analysis, cmd/ahlvet) enforces them at build
 // time, with //ahl:nondeterministic <reason> as the reviewed escape
 // hatch for the few constitutively wall-clock boundaries (the live-mode
