@@ -16,8 +16,9 @@
 //
 // A Reader never observes writes applied after its height, is safe for
 // concurrent use from any goroutine, and costs O(1) to create — no
-// copying. Reader.Snapshot() materializes the full state for transfer or
-// durable persistence without ever stalling the writer.
+// copying. Reader.Snapshot() materializes the full state for transfer
+// without ever stalling the writer; durable persistence skips the copy
+// and streams the ordered iterator straight into its encoding.
 //
 // # MVCC retention rule
 //

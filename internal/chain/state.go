@@ -500,8 +500,8 @@ func (r *Reader) KeysWithPrefix(prefix string) []string {
 	return r.Keys(prefix, PrefixEnd(prefix))
 }
 
-// Snapshot materializes the full pinned state for transfer or durable
-// persistence. The returned snapshot is independent of the store.
+// Snapshot materializes the full pinned state for transfer. The returned
+// snapshot is independent of the store.
 func (r *Reader) Snapshot() Snapshot {
 	kv := make(map[string][]byte, r.t.size)
 	for _, c := range r.t.chunks {

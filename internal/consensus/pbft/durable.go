@@ -2,7 +2,6 @@ package pbft
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chain"
 	"repro/internal/chaincode"
@@ -72,9 +71,11 @@ func (r *Replica) appendDecided(e *entry) bool {
 }
 
 // snapshotStableState materializes the stable-checkpoint view into a
-// transferable snapshot. The copy happens outside the store's write lock
-// (the view is immutable), so execution never stalls behind it; the
-// histogram tracks how long the materialization itself takes.
+// transferable snapshot for a state-sync response. The view is immutable,
+// so the copy takes no store lock, but it runs on the engine loop:
+// execution waits for it. The histogram tracks how long the
+// materialization takes. The durable path does not copy: it streams the
+// view into the snapshot encoding (persistDurableSnapshot).
 func (r *Replica) snapshotStableState() chain.Snapshot {
 	var start int64
 	if m := r.met; m != nil {
@@ -94,6 +95,7 @@ func (r *Replica) persistDurableSnapshot() {
 	if r.durable == nil || r.stableSnapSeq == 0 || r.stableView == nil {
 		return
 	}
+	// Filtering the sorted stableExecIDs keeps both subsets sorted.
 	var okIDs, failIDs []uint64
 	for _, id := range r.stableExecIDs {
 		if ok, known := r.executedOK[id]; known {
@@ -104,8 +106,6 @@ func (r *Replica) persistDurableSnapshot() {
 			}
 		}
 	}
-	sort.Slice(okIDs, func(i, j int) bool { return okIDs[i] < okIDs[j] })
-	sort.Slice(failIDs, func(i, j int) bool { return failIDs[i] < failIDs[j] })
 	snap := storage.Snapshot{
 		Seq: r.stableSnapSeq,
 		// The capture reflects everything executed so far, which can run
@@ -116,7 +116,7 @@ func (r *Replica) persistDurableSnapshot() {
 		// Seq instead would make every restart fail with a phantom gap.
 		ExecutedThrough: r.executedThrough,
 		View:            r.view,
-		State:           r.snapshotStableState(),
+		StateView:       r.stableView,
 		ExecIDs:         r.stableExecIDs,
 		OKIDs:           okIDs,
 		FailIDs:         failIDs,
@@ -164,6 +164,7 @@ func (r *Replica) RestoreDurableSnapshot(s *storage.Snapshot) ([]byte, error) {
 	for _, id := range s.ExecIDs {
 		r.executedTxIDs[id] = true
 	}
+	r.newExecIDs = r.newExecIDs[:0]
 	r.executedOK = make(map[uint64]bool, len(s.OKIDs)+len(s.FailIDs))
 	for _, id := range s.OKIDs {
 		r.executedOK[id] = true
@@ -218,7 +219,7 @@ func (r *Replica) ReplayDecided(seq uint64, block *chain.Block) error {
 		if r.executedTxIDs[tx.ID] {
 			continue
 		}
-		r.executedTxIDs[tx.ID] = true
+		r.noteExecuted(tx.ID)
 		res := r.deps.Registry.Execute(r.store, tx)
 		r.executedOK[tx.ID] = res.OK()
 		for _, dtx := range res.Committed {

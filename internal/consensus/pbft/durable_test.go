@@ -1,6 +1,9 @@
 package pbft
 
 import (
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,5 +123,87 @@ func TestDurableSnapshotCoversExecutingBlock(t *testing.T) {
 	}
 	if len(tail) != 1 || tail[0].Kind != storage.KindBlock || tail[0].Seq != next {
 		t.Fatalf("WAL tail above snapshot = %+v, want the in-flight block at seq %d", tail, next)
+	}
+}
+
+// requireExecIDs checks the incremental id bookkeeping against the dedup
+// set it summarizes: stableExecIDs is strictly increasing, and merging in
+// the ids executed since the last capture gives exactly the sorted
+// dedup set — the list the capture used to rebuild by sorting the set.
+func requireExecIDs(t *testing.T, r *Replica) {
+	t.Helper()
+	for i := 1; i < len(r.stableExecIDs); i++ {
+		if r.stableExecIDs[i] <= r.stableExecIDs[i-1] {
+			t.Fatalf("replica %d: stableExecIDs not strictly increasing at %d: %v", r.self(), i, r.stableExecIDs)
+		}
+	}
+	want := slices.Sorted(maps.Keys(r.executedTxIDs))
+	got := mergeExecIDs(r.stableExecIDs, slices.Clone(r.newExecIDs))
+	if !slices.Equal(got, want) {
+		t.Fatalf("replica %d: stable ids + new ids = %v, dedup set = %v", r.self(), got, want)
+	}
+}
+
+func TestStableExecIDsTrackDedupSet(t *testing.T) {
+	tc, r, mem := durableTestCluster(t)
+	for _, rep := range tc.bc.Replicas {
+		requireExecIDs(t, rep)
+	}
+	snap, _, err := mem.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(snap.OKIDs) || !slices.IsSorted(snap.FailIDs) || len(snap.OKIDs)+len(snap.FailIDs) == 0 {
+		t.Fatalf("persisted OKIDs %v FailIDs %v: want sorted, non-empty", snap.OKIDs, snap.FailIDs)
+	}
+
+	// A state response's id list is not covered by the checkpoint digest:
+	// an unsorted list with duplicates must not break the merge.
+	r.installSnapshot(r.stableSnapSeq, r.stableView.Snapshot(), r.stableCert, []uint64{9, 3, 9, 1})
+	if want := []uint64{1, 3, 9}; !slices.Equal(r.stableExecIDs, want) {
+		t.Fatalf("stableExecIDs after install = %v, want %v", r.stableExecIDs, want)
+	}
+	requireExecIDs(t, r)
+
+	// Crash, view change and catch-up on every replica.
+	crash, _ := runLeaderCrashScenario(t, 30*time.Second)
+	for _, rep := range crash.bc.Replicas {
+		requireExecIDs(t, rep)
+	}
+}
+
+func TestMergeExecIDs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n < 50; n++ {
+		set := make(map[uint64]bool)
+		var base, fresh []uint64
+		for len(set) < n {
+			id := uint64(rng.Intn(4 * (n + 1)))
+			if set[id] {
+				continue
+			}
+			set[id] = true
+			if rng.Intn(2) == 0 {
+				base = append(base, id)
+			} else {
+				fresh = append(fresh, id)
+			}
+		}
+		slices.Sort(base)
+		before := slices.Clone(base)
+		got := mergeExecIDs(base, fresh)
+		if want := slices.Sorted(maps.Keys(set)); !slices.Equal(got, want) {
+			t.Fatalf("merge of %v and %v = %v, want %v", before, fresh, got, want)
+		}
+		if !slices.Equal(base, before) {
+			t.Fatalf("merge modified its base: %v, was %v", base, before)
+		}
+	}
+	sorted := []uint64{1, 2, 5}
+	if got := sortedUnique(sorted); &got[0] != &sorted[0] {
+		t.Error("sortedUnique copied an already sorted list")
+	}
+	if got := sortedUnique([]uint64{5, 1, 5, 2, 1}); !slices.Equal(got, []uint64{1, 2, 5}) {
+		t.Errorf("sortedUnique = %v, want [1 2 5]", got)
 	}
 }

@@ -1,6 +1,7 @@
 package pbft
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -131,15 +132,19 @@ type Replica struct {
 
 	// State-sync bookkeeping (see statesync.go). stableView is the
 	// immutable height-pinned view of the last stable checkpoint's state;
-	// snapshots for state transfer and durable persistence materialize
-	// from it on demand instead of deep-copying under the store's write
-	// lock.
+	// state-transfer snapshots materialize from it on demand and durable
+	// snapshots stream it into their encoding, neither deep-copying under
+	// the store's write lock.
 	stableView    *chain.Reader
 	stableSnapSeq uint64
 	stableCert    []*checkpointMsg
-	stableExecIDs []uint64
-	lastSyncReq   int64
-	lastNewView   *newViewMsg
+	stableExecIDs []uint64 // sorted, no duplicates
+	// newExecIDs are the ids entered into executedTxIDs since the last
+	// capture, in execution order. The next stable capture sorts only
+	// these and merges them into stableExecIDs (see mergeExecIDs).
+	newExecIDs  []uint64
+	lastSyncReq int64
+	lastNewView *newViewMsg
 
 	// Replay catch-up state (see replay.go).
 	replayVotes  map[uint64]map[blockcrypto.Digest]map[int]bool
@@ -752,7 +757,9 @@ func (r *Replica) retransmitOldest() {
 }
 
 func (r *Replica) takeBatch() []chain.Tx {
-	batch := make([]chain.Tx, 0, r.opts.BatchSize)
+	// Sized to what it will hold: the block keeps this slice for the
+	// ledger's lifetime, and adaptive cuts are far below BatchSize.
+	batch := make([]chain.Tx, 0, min(r.opts.BatchSize, r.unbatchedCount()))
 	kept := r.pendingOrder[:0]
 	for _, id := range r.pendingOrder {
 		tx, ok := r.pending[id]
@@ -1216,7 +1223,7 @@ func (r *Replica) finishExecute(e *entry) {
 		if r.executedTxIDs[tx.ID] {
 			continue
 		}
-		r.executedTxIDs[tx.ID] = true
+		r.noteExecuted(tx.ID)
 		res := r.deps.Registry.Execute(r.store, tx)
 		r.executedOK[tx.ID] = res.OK()
 		for _, dtx := range res.Committed {
@@ -1334,14 +1341,8 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		r.store.SetFloor(r.stableView.Version())
 		r.stableSnapSeq = seq
 		r.stableCert = certFor(ck, digest)
-		ids := make([]uint64, 0, len(r.executedTxIDs))
-		for id := range r.executedTxIDs {
-			ids = append(ids, id)
-		}
-		// Sorted: this list travels in state-transfer snapshots, so its
-		// order must not depend on map iteration.
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		r.stableExecIDs = ids
+		r.stableExecIDs = mergeExecIDs(r.stableExecIDs, r.newExecIDs)
+		r.newExecIDs = r.newExecIDs[:0]
 		r.persistDurableSnapshot()
 	}
 	// Sorted holders: maybeRequestSync asks the first two, so map-order
@@ -1394,4 +1395,48 @@ func (r *Replica) advanceStable(seq uint64, digest blockcrypto.Digest, ck map[in
 		}
 		r.scheduleBatch()
 	}
+}
+
+// noteExecuted enters id into the execution dedup set and queues it for
+// the next stable capture.
+func (r *Replica) noteExecuted(id uint64) {
+	r.executedTxIDs[id] = true
+	r.newExecIDs = append(r.newExecIDs, id)
+}
+
+// mergeExecIDs returns the sorted union of base (sorted, no duplicates)
+// and fresh (ids not in base, any order), sorting only fresh. The list
+// travels in state-transfer snapshots, so its order must not depend on
+// map iteration. fresh is sorted in place; base is never modified,
+// because earlier state-sync responses and snapshots still hold it.
+func mergeExecIDs(base, fresh []uint64) []uint64 {
+	slices.Sort(fresh)
+	out := make([]uint64, 0, len(base)+len(fresh))
+	i, j := 0, 0
+	for i < len(base) && j < len(fresh) {
+		if base[i] < fresh[j] {
+			out = append(out, base[i])
+			i++
+		} else {
+			out = append(out, fresh[j])
+			j++
+		}
+	}
+	out = append(out, base[i:]...)
+	return append(out, fresh[j:]...)
+}
+
+// sortedUnique returns ids when it is strictly increasing, else a sorted
+// copy without duplicates. A peer's state response is not covered by the
+// checkpoint digest in its id list, so the order mergeExecIDs relies on
+// is checked, not assumed.
+func sortedUnique(ids []uint64) []uint64 {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] <= ids[i-1] {
+			out := slices.Clone(ids)
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
+	return ids
 }

@@ -141,6 +141,7 @@ func (r *Replica) installSnapshot(seq uint64, snap chain.Snapshot, cert []*check
 		r.executedTxIDs[id] = true
 		r.dropRequest(id)
 	}
+	r.newExecIDs = r.newExecIDs[:0]
 	r.executedThrough = seq
 	if seq > r.h {
 		r.h = seq
@@ -159,7 +160,7 @@ func (r *Replica) installSnapshot(seq uint64, snap chain.Snapshot, cert []*check
 	r.stableView = r.store.Head()
 	r.stableSnapSeq = seq
 	r.stableCert = cert
-	r.stableExecIDs = execIDs
+	r.stableExecIDs = sortedUnique(execIDs)
 	// A peer-supplied snapshot is as final as a local stable checkpoint:
 	// make it the durable recovery root too, so a crash right after
 	// catch-up does not rewind to the pre-sync state.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/consensus/pbft"
 	"repro/internal/obs"
+	"repro/internal/sim"
 	"repro/internal/tee"
 	"repro/internal/txn"
 )
@@ -122,5 +123,61 @@ func TestSimSnapshotHasStageHistograms(t *testing.T) {
 	}
 	if snap.Gauges["pbft_pipeline_occupancy_peak"] == 0 {
 		t.Error("pbft_pipeline_occupancy_peak = 0, want > 0")
+	}
+}
+
+// TestSimDanglingLocksGaugeCurrent drains a 2PC load in an instrumented
+// simulation and reads txn_dangling_locks at every 10 ms step: it must
+// equal the managers' own DanglingLocks audit each time, so it reads 0
+// as soon as the last transaction releases its locks, with no periodic
+// probe to wait for.
+func TestSimDanglingLocksGaugeCurrent(t *testing.T) {
+	s := NewSystem(Config{
+		Seed:        11,
+		Shards:      2,
+		ShardSize:   4,
+		RefSize:     4,
+		Variant:     pbft.VariantAHLPlus,
+		Clients:     2,
+		SendReplies: true,
+		Costs:       tee.FreeCosts(),
+		Obs:         true,
+	})
+	s.Seed(20, 100)
+	from, to := findCrossShardPair(s, 20)
+	const n = 12
+	done := 0
+	s.Engine.Schedule(0, func() {
+		for i := 0; i < n; i++ {
+			d := s.PaymentDTx(fmt.Sprintf("gauge%d", i), from, to, 1)
+			s.Client(i%2).SubmitDistributed(d, func(r txn.Result) { done++ })
+		}
+	})
+	gauge := s.Obs.Reg.Gauge("txn_dangling_locks")
+	audit := func() int64 {
+		var open int64
+		for _, m := range s.Managers {
+			open += int64(len(m.DanglingLocks()))
+		}
+		return open
+	}
+	const step = 10 * time.Millisecond
+	var peak int64
+	for {
+		s.Run(step)
+		open := audit()
+		if got := gauge.Load(); got != open {
+			t.Fatalf("at %v: txn_dangling_locks = %d, audit finds %d", s.Engine.Now(), got, open)
+		}
+		peak = max(peak, open)
+		if done == n && open == 0 {
+			break
+		}
+		if s.Engine.Now() > sim.Time(120*time.Second) {
+			t.Fatalf("not drained after 120 s: %d/%d done, %d dangling", done, n, open)
+		}
+	}
+	if peak == 0 {
+		t.Fatal("the load never held a 2PC lock; the gauge was not exercised")
 	}
 }

@@ -526,7 +526,11 @@ func (d *Disk) SaveSnapshot(snap Snapshot) error {
 	segBase := d.curSeg
 
 	d.enc.Reset()
-	encodeSnapshotBody(&d.enc, snap, segBase, d.nextOrd)
+	enc0 := time.Now()
+	if err := encodeSnapshotBody(&d.enc, snap, segBase, d.nextOrd); err != nil {
+		return err
+	}
+	d.opts.Metrics.observeSnapshotEncode(time.Since(enc0).Nanoseconds())
 	body := d.enc.Bytes()
 	var hdr [16]byte
 	copy(hdr[:8], snapMagic[:])

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/wire"
@@ -53,18 +54,22 @@ func decodeRecord(data []byte) (Record, error) {
 // replay verifies the tail's ordinals run contiguously from it, which is
 // what turns a missing or shortened middle segment into a detected
 // corruption instead of a silently shorter history.
-func encodeSnapshotBody(e *wire.Encoder, snap Snapshot, segBase, ord uint64) {
+func encodeSnapshotBody(e *wire.Encoder, snap Snapshot, segBase, ord uint64) error {
+	if snap.StateView == nil {
+		return errors.New("storage: snapshot has no state view to save")
+	}
 	e.Uvarint(segBase)
 	e.Uvarint(ord)
 	e.Uvarint(snap.Seq)
 	e.Uvarint(snap.ExecutedThrough)
 	e.Uvarint(snap.View)
-	wire.PutSnapshot(e, snap.State)
+	wire.PutSnapshotView(e, snap.StateView)
 	wire.PutUint64s(e, snap.ExecIDs)
 	wire.PutUint64s(e, snap.OKIDs)
 	wire.PutUint64s(e, snap.FailIDs)
 	e.ByteSlice(snap.Cert)
 	e.ByteSlice(snap.Stage)
+	return nil
 }
 
 func decodeSnapshotBody(data []byte) (Snapshot, uint64, uint64, error) {

@@ -41,7 +41,9 @@ func (m *Memory) SaveSnapshot(snap Snapshot) error {
 		return ErrClosed
 	}
 	m.enc.Reset()
-	encodeSnapshotBody(&m.enc, snap, 0, 0)
+	if err := encodeSnapshotBody(&m.enc, snap, 0, 0); err != nil {
+		return err
+	}
 	m.snap = append([]byte(nil), m.enc.Bytes()...)
 	m.mark = len(m.records)
 	return nil

@@ -18,6 +18,11 @@ type Metrics struct {
 	stalls        *obs.Counter
 	segmentRolls  *obs.Counter
 	snapshotSave  *obs.Histogram
+	// snapshotEncode times the stable view's capture into the snapshot
+	// body (view -> encoded bytes). It is the replica's
+	// pbft_snapshot_copy_latency histogram, which the state-transfer
+	// capture also observes, so the stage reads the same on both paths.
+	snapshotEncode *obs.Histogram
 }
 
 // NewMetrics registers the storage metric family on reg.
@@ -29,6 +34,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 		stalls:        reg.Counter("storage_wal_stall_total"),
 		segmentRolls:  reg.Counter("storage_wal_segment_rolls_total"),
 		snapshotSave:  reg.Histogram("storage_snapshot_save_latency"),
+
+		snapshotEncode: reg.Histogram("pbft_snapshot_copy_latency"),
 	}
 }
 
@@ -62,4 +69,11 @@ func (m *Metrics) observeSnapshot(ns int64) {
 		return
 	}
 	m.snapshotSave.Observe(ns)
+}
+
+func (m *Metrics) observeSnapshotEncode(ns int64) {
+	if m == nil {
+		return
+	}
+	m.snapshotEncode.Observe(ns)
 }

@@ -68,8 +68,13 @@ type Snapshot struct {
 	ExecutedThrough uint64
 	// View is the replica's view at capture time.
 	View uint64
-	// State is the world state.
+	// State is the recovered world state: Recover fills it, SaveSnapshot
+	// ignores it.
 	State chain.Snapshot
+	// StateView is the world state to save, which SaveSnapshot requires:
+	// an immutable pinned reader whose ordered entries are streamed into
+	// the encoding in one pass. Recover leaves it nil.
+	StateView *chain.Reader
 	// ExecIDs is the executed-transaction dedup set at Seq, sorted.
 	ExecIDs []uint64
 	// OKIDs is the subset of ExecIDs whose execution succeeded, sorted.

@@ -39,23 +39,29 @@ func testRecords(n int) []Record {
 	return out
 }
 
+// testSnapshot returns a snapshot to save, with State set to what
+// Recover must return for it.
 func testSnapshot(seq uint64) Snapshot {
+	state := chain.Snapshot{
+		KV:      map[string][]byte{"c_alice": []byte("100"), "c_bob": []byte("42")},
+		Version: seq * 3,
+		Digest:  blockcrypto.Hash([]byte{byte(seq), 7}),
+	}
+	store := chain.NewStore()
+	store.Restore(state)
 	return Snapshot{
 		Seq: seq,
 		// Deliberately ahead of Seq: execution past the checkpoint must
 		// round-trip, it is what recovery resumes from.
 		ExecutedThrough: seq + 2,
 		View:            2,
-		State: chain.Snapshot{
-			KV:      map[string][]byte{"c_alice": []byte("100"), "c_bob": []byte("42")},
-			Version: seq * 3,
-			Digest:  blockcrypto.Hash([]byte{byte(seq), 7}),
-		},
-		ExecIDs: []uint64{11, 12, 21},
-		OKIDs:   []uint64{11, 21},
-		FailIDs: []uint64{12},
-		Cert:    []byte{1, 2, 3},
-		Stage:   []byte{4, 5},
+		State:           state,
+		StateView:       store.Head(),
+		ExecIDs:         []uint64{11, 12, 21},
+		OKIDs:           []uint64{11, 21},
+		FailIDs:         []uint64{12},
+		Cert:            []byte{1, 2, 3},
+		Stage:           []byte{4, 5},
 	}
 }
 
@@ -71,11 +77,14 @@ func wantRecords(t *testing.T, got, want []Record) {
 	}
 }
 
+// wantSnapshot compares a recovered snapshot with the one saved; the
+// saved StateView is input only and comes back as State.
 func wantSnapshot(t *testing.T, got *Snapshot, want Snapshot) {
 	t.Helper()
 	if got == nil {
 		t.Fatal("recovered nil snapshot")
 	}
+	want.StateView = nil
 	if !reflect.DeepEqual(*got, want) {
 		t.Fatalf("snapshot mismatch:\n got %+v\nwant %+v", *got, want)
 	}

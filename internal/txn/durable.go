@@ -318,6 +318,7 @@ func (m *Manager) FinishRecovery() {
 	for _, txid := range sortedKeys(m.decided) {
 		m.maybeInjectDecide(txid)
 	}
+	m.obsRecount()
 	m.armRetry()
 }
 

@@ -370,7 +370,6 @@ func (m *Manager) injectPrepare(txid string) {
 			t.prepInjAt[txid] = t.hub.Now()
 			t.hub.RecordKey(t.node, obs.Stage2PCPrepare, txid, 0)
 		}
-		m.obsArmProbe()
 	}
 	for _, op := range d.Ops {
 		if op.Shard != m.shardID {
@@ -397,6 +396,9 @@ func (m *Manager) inject(id uint64, ref kindRef, tx chain.Tx) {
 	}
 	m.injectedTx[id] = ref
 	m.stageWriteInjected(id, ref, tx)
+	if ref.kind == "prepare" {
+		m.obsPrepared(ref.txid)
+	}
 	if ok, executed := m.replica.ExecutedOK(id); executed {
 		m.onShardExecuted(tx, ok)
 		return
@@ -661,6 +663,7 @@ func (m *Manager) onShardExecuted(tx chain.Tx, ok bool) {
 		delete(m.voted, ref.txid)
 		delete(m.voteRetry, ref.txid)
 		m.done[ref.txid] = true
+		m.obsFinished(ref.txid)
 		if _, known := m.decided[ref.txid]; !known {
 			m.decided[ref.txid] = ref.kind == "commit"
 		}

@@ -1,18 +1,6 @@
 package txn
 
-import (
-	"time"
-
-	"repro/internal/obs"
-	"repro/internal/sim"
-)
-
-// danglingProbeInterval paces the dangling-lock probe: a periodic
-// engine-side scan publishing how many shard-side transactions still
-// hold 2PL state. The probe is lazy — armed on 2PC activity, dropped
-// when nothing is outstanding — so an instrumented simulation can still
-// run to idle.
-const danglingProbeInterval = 2 * time.Second
+import "repro/internal/obs"
 
 // txnMetrics holds one manager's resolved observability handles plus
 // the per-transaction obs-clock timestamps the 2PC stage-duration
@@ -31,8 +19,13 @@ type txnMetrics struct {
 	retryPrepares *obs.Counter // PrepareTx retransmissions
 	retryVotes    *obs.Counter // vote retransmissions
 
-	danglingLocks  *obs.Gauge // last probe: prepared-but-unfinished txns
-	danglingProbes *obs.Counter
+	// danglingLocks moves with len(open) on every change, so a scrape
+	// reads the current count of transactions holding 2PL state. Managers
+	// sharing a hub (a simulated system) add into one sum.
+	danglingLocks *obs.Gauge
+	// open holds the txids with a prepare step injected here and phase 2
+	// not yet executed: the set DanglingLocks lists.
+	open map[string]bool
 
 	// Stage timestamps keyed by distributed-txn id, deleted as soon as
 	// the closing stage observes them (and when the txn finishes).
@@ -40,8 +33,6 @@ type txnMetrics struct {
 	prepExecAt map[string]int64
 	decInjAt   map[string]int64
 	beginAt    map[string]int64
-
-	probe *sim.Timer
 }
 
 func newTxnMetrics(hub *obs.Hub, node uint32) *txnMetrics {
@@ -60,8 +51,8 @@ func newTxnMetrics(hub *obs.Hub, node uint32) *txnMetrics {
 		retryPrepares: reg.Counter("txn_2pc_retry_prepare_total"),
 		retryVotes:    reg.Counter("txn_2pc_retry_vote_total"),
 
-		danglingLocks:  reg.Gauge("txn_dangling_locks"),
-		danglingProbes: reg.Counter("txn_dangling_probe_total"),
+		danglingLocks: reg.Gauge("txn_dangling_locks"),
+		open:          make(map[string]bool),
 
 		prepInjAt:  make(map[string]int64),
 		prepExecAt: make(map[string]int64),
@@ -96,26 +87,39 @@ func (m *Manager) enableObs() {
 		return
 	}
 	m.met = newTxnMetrics(hub, uint32(m.ep.ID()))
-	m.met.probe = m.replica.Engine().NewTimer()
 }
 
-// obsArmProbe schedules the next dangling-lock probe if none is pending.
-func (m *Manager) obsArmProbe() {
-	if m.met == nil || m.role != RoleShard || m.met.probe.Active() {
+// obsPrepared notes a prepare step injected for txid: unless phase 2
+// already executed here, the transaction now holds (or is acquiring) 2PL
+// state.
+func (m *Manager) obsPrepared(txid string) {
+	if m.met == nil || m.done[txid] || m.met.open[txid] {
 		return
 	}
-	m.met.probe.Reset(danglingProbeInterval, m.obsProbeTick)
+	m.met.open[txid] = true
+	m.met.danglingLocks.Add(1)
 }
 
-// obsProbeTick publishes the dangling-lock count and re-arms while any
-// prepared transaction is still unfinished. When everything drained the
-// probe stops (the next injectPrepare re-arms it), so instrumented
-// simulations still reach idle.
-func (m *Manager) obsProbeTick() {
-	dangling := m.DanglingLocks()
-	m.met.danglingProbes.Inc()
-	m.met.danglingLocks.Set(int64(len(dangling)))
-	if len(dangling) > 0 {
-		m.obsArmProbe()
+// obsFinished notes that txid's phase 2 executed here, releasing its 2PL
+// state.
+func (m *Manager) obsFinished(txid string) {
+	if m.met == nil || !m.met.open[txid] {
+		return
 	}
+	delete(m.met.open, txid)
+	m.met.danglingLocks.Add(-1)
+}
+
+// obsRecount rebuilds the open set from the manager's maps after boot
+// recovery restored them without passing through inject.
+func (m *Manager) obsRecount() {
+	if m.met == nil {
+		return
+	}
+	before := len(m.met.open)
+	clear(m.met.open)
+	for _, txid := range m.DanglingLocks() {
+		m.met.open[txid] = true
+	}
+	m.met.danglingLocks.Add(int64(len(m.met.open) - before))
 }

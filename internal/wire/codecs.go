@@ -258,6 +258,24 @@ func PutSnapshot(e *Encoder, s chain.Snapshot) {
 	e.Digest(s.Digest)
 }
 
+// PutSnapshotView appends the state pinned by r in the PutSnapshot
+// encoding, byte for byte: the view's chunked index is already in key
+// order, so the entries stream straight into e without a map copy, a key
+// sort or any per-key allocation. Snapshot decodes it.
+func PutSnapshotView(e *Encoder, r *chain.Reader) {
+	e.Uvarint(uint64(r.Len()))
+	for it := r.Iter("", ""); ; {
+		k, v, ok := it.Next()
+		if !ok {
+			break
+		}
+		e.String(k)
+		e.ByteSlice(v)
+	}
+	e.Uvarint(r.Version())
+	e.Digest(r.Digest())
+}
+
 // Snapshot reads a chain.Snapshot.
 func Snapshot(d *Decoder) chain.Snapshot {
 	n := d.Count(2)
